@@ -68,10 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+        # argparse converts a string default through ``type``, so a
+        # malformed $HGC_WORKERS is reported as a usage error (exit 1).
         p.add_argument(
             "--workers",
             type=int,
-            default=int(os.environ.get("HGC_WORKERS", "1")),
+            default=os.environ.get("HGC_WORKERS", "1"),
             help="parallel trial processes (default $HGC_WORKERS or 1)",
         )
         p.add_argument(
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("HGC_WORKERS", "1")))
+                   default=os.environ.get("HGC_WORKERS", "1"))
     p.add_argument("--deterministic", choices=("on", "off"), default="on")
 
     p = sub.add_parser("bounds", help="print analytic tail bounds / run dominance checks")

@@ -2,6 +2,14 @@
 
 Orthonormalizing the columns of a square Gaussian matrix Y yields a
 Haar-distributed orthogonal matrix U on the same probability space.
+The orthonormalization is LAPACK's Householder QR with the diagonal of
+R made positive, which is the same map as columnwise Gram-Schmidt
+(Stewart 1980, SIAM J. Numer. Anal. 17(3); Mezzadri 2007, Notices AMS
+54(5)).  Gram-Schmidt is sequential: column j of U depends only on
+y_1..y_j.  So every statistic of the first m coordinates of
+Y - sqrt(n) U needs only the n x m block of Y, and the coupling accepts
+that block on its own.
+
 The pair keeps its coupling trace: for each column j (1-based) the
 projection coefficients onto the preceding orthonormal columns and the
 residual norm r_j > 0, so that
@@ -9,8 +17,8 @@ residual norm r_j > 0, so that
     y_j = sum_{k<j} trace[k, j] * nu_k + r_j * nu_j
 
 holds up to rounding.  A second, randomized coupling right-multiplies
-both matrices by the block rotation diag(V_m, I) with V_m Haar on the
-m x m orthogonal group; this uniformizes entries within the first m
+the first m columns of both matrices by V_m, Haar on the m x m
+orthogonal group; this uniformizes entries within the first m
 coordinates of every row while preserving the truncated row norms.
 """
 
@@ -27,29 +35,28 @@ from .rng import Seed, sample_gaussian
 # Residual norms below DEGENERACY_FACTOR * sqrt(n) abort the coupling.
 DEGENERACY_FACTOR = 1e-8
 
-# Column-block width for the orthogonalization kernel; panels this wide
-# keep the bulk of the O(n^3) work in matrix-matrix products.
-_BLOCK = 512
-
 
 @dataclass(frozen=True)
 class CoupledPair:
-    """A Gaussian matrix, its orthonormalization, and the coupling trace.
+    """A block of Gaussian columns, its orthonormalization, and the coupling trace.
+
+    The pair holds k columns, 1 <= k <= n: the whole of a square Y, or
+    the leading n x k block that a statistic reads.
 
     Attributes
     ----------
     y : ndarray
-        (n, n) Gaussian input.  Not copied; treat as immutable.
+        (n, k) Gaussian input.  Not copied; treat as immutable.
     u : ndarray
-        (n, n) orthogonal matrix, columnwise Gram-Schmidt of ``y``.
+        (n, k) orthonormal columns, columnwise Gram-Schmidt of ``y``.
     residual_norms : ndarray
-        Length-n vector; entry j-1 is r_j = ||y_j - P_{span(y_1..y_{j-1})} y_j|| > 0.
+        Length-k vector; entry j-1 is r_j = ||y_j - P_{span(y_1..y_{j-1})} y_j|| > 0.
     trace : ndarray
-        (n, n) upper triangular.  The strict upper part holds the
+        (k, k) upper triangular.  The strict upper part holds the
         projection coefficients <y_j, nu_k> for k < j; the diagonal
         repeats ``residual_norms``.
     n : int
-        Dimension.
+        Number of rows, the dimension of the Gaussian matrix.
     """
 
     y: np.ndarray
@@ -63,8 +70,8 @@ class CoupledPair:
 class RotatedPair:
     """Result of the randomized block-rotation coupling.
 
-    ``y`` stays Gaussian and ``u`` stays Haar orthogonal; columns beyond
-    ``m`` equal those of the source pair exactly.
+    ``y`` and ``u`` are the rotated n x m blocks: ``y`` stays Gaussian
+    and the columns of ``u`` stay those of a Haar orthogonal matrix.
     """
 
     y: np.ndarray
@@ -73,68 +80,44 @@ class RotatedPair:
     m: int
 
 
-def gram_schmidt_couple(y: np.ndarray, block: int = _BLOCK) -> CoupledPair:
+def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     """Columnwise Gram-Schmidt orthonormalization with coupling trace.
 
-    Classical Gram-Schmidt with a full second orthogonalization pass
-    (CGS2), processed in column panels so almost all work runs as
-    matrix products.  In exact arithmetic this equals the classical
-    procedure: nu_j points along the residual of y_j, hence
-    <y_j, nu_j> = r_j > 0.  The second pass keeps ``||U^T U - I||_max``
-    at machine precision through n = 8192.
+    Computed as Householder QR (LAPACK) with the signs of the columns of
+    Q and the rows of R flipped so that diag(R) > 0.  That makes nu_j
+    point along the residual of y_j, hence <y_j, nu_j> = r_j > 0, as in
+    the classical procedure.
 
     Parameters
     ----------
     y : ndarray
-        Square matrix with numerically independent columns.
-    block : int, optional
-        Panel width of the blocked kernel; affects speed only.
+        n x k matrix, 1 <= k <= n, with numerically independent columns.
 
     Raises
     ------
     DimensionError
-        If ``y`` is not square 2-D with finite entries.
+        If ``y`` is not 2-D with 1 <= k <= n columns and finite entries.
     DegeneracyError
         If some residual norm falls below ``1e-8 * sqrt(n)``; the error
-        names the offending column (1-based).
+        names the first offending column (1-based).
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[0] < 1:
-        raise DimensionError(f"expected a square matrix, got shape {y.shape}")
+    if y.ndim != 2 or not 1 <= y.shape[1] <= y.shape[0]:
+        raise DimensionError(f"expected n x k with 1 <= k <= n, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise DimensionError("matrix entries must be finite")
     n = y.shape[0]
     threshold = DEGENERACY_FACTOR * math.sqrt(n)
 
-    u = np.empty((n, n), order="F")
-    trace = np.zeros((n, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        panel = np.asfortranarray(y[:, start:stop])
-        if start:
-            prev = u[:, :start]
-            c1 = prev.T @ panel
-            panel -= prev @ c1
-            c2 = prev.T @ panel
-            panel -= prev @ c2
-            trace[:start, start:stop] = c1 + c2
-        for j in range(stop - start):
-            v = panel[:, j]
-            if j:
-                done = panel[:, :j]
-                c1 = done.T @ v
-                v -= done @ c1
-                c2 = done.T @ v
-                v -= done @ c2
-                trace[start:start + j, start + j] = c1 + c2
-            norm = float(np.linalg.norm(v))
-            if not norm > threshold:
-                raise DegeneracyError(start + j + 1, norm, threshold)
-            trace[start + j, start + j] = norm
-            panel[:, j] = v / norm
-        u[:, start:stop] = panel
-
-    residual_norms = np.ascontiguousarray(np.diag(trace))
+    u, trace = np.linalg.qr(y)
+    residual_norms = np.abs(np.diag(trace))
+    failed = np.flatnonzero(~(residual_norms > threshold))
+    if failed.size:
+        j = int(failed[0])
+        raise DegeneracyError(j + 1, float(residual_norms[j]), threshold)
+    signs = np.sign(np.diag(trace))
+    u *= signs
+    trace *= signs[:, None]
     return CoupledPair(y=y, u=u, residual_norms=residual_norms, trace=trace, n=n)
 
 
@@ -155,23 +138,21 @@ def randomized_couple(
     seed: Seed,
     v_m: np.ndarray | None = None,
 ) -> RotatedPair:
-    """Right-multiply a coupled pair by the block rotation diag(V_m, I).
+    """Right-multiply the first m columns of a coupled pair by V_m.
 
     V_m is Haar on O(m) (drawn from ``seed`` unless injected through
-    ``v_m``, which exists for tests).  Both the Gaussian law of y and
-    the Haar law of u are invariant under the rotation, and for every
+    ``v_m``, which exists for tests), and m may not exceed the number of
+    columns the pair holds.  Both the Gaussian law of y and the Haar law
+    of u are invariant under the rotation diag(V_m, I), and for every
     row the Euclidean norm of the first m entries of y - sqrt(n) u is
-    preserved exactly in exact arithmetic.
+    preserved exactly in exact arithmetic.  Only the rotated n x m
+    blocks are returned.
     """
-    n = pair.n
-    if not 1 <= m <= n:
-        raise DimensionError(f"m must satisfy 1 <= m <= {n}, got {m}")
+    k = pair.u.shape[1]
+    if not 1 <= m <= k:
+        raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
     if v_m is None:
         v_m = haar_orthogonal(m, seed)
     elif v_m.shape != (m, m):
         raise DimensionError(f"injected rotation must be {m}x{m}, got {v_m.shape}")
-    y2 = pair.y.copy()
-    u2 = pair.u.copy()
-    y2[:, :m] = pair.y[:, :m] @ v_m
-    u2[:, :m] = pair.u[:, :m] @ v_m
-    return RotatedPair(y=y2, u=u2, n=n, m=m)
+    return RotatedPair(y=pair.y[:, :m] @ v_m, u=pair.u[:, :m] @ v_m, n=pair.n, m=m)

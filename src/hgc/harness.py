@@ -25,8 +25,9 @@ bounds-check     fixed battery of tail-bound dominance checks (see
                  carries the empirical frequency in ``sup_F``, the
                  analytic bound in ``predicted``, and their ratio in
                  ``ratio_sup``; ``trials`` is ignored
-sweep            marker used by :func:`sweep` tables; rejected by
-                 :func:`run`
+
+Every matrix kind couples only the n x m block of each sampled Y, the
+columns its statistics read.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ KINDS = (
     "coupling-compare",
     "borel",
     "bounds-check",
-    "sweep",
 )
 COUPLINGS = (PLAIN_GS, RANDOMIZED)
 FORMATS = ("csv", "json", "svg")
@@ -195,8 +195,6 @@ def run(config: ExperimentConfig, sampler=None) -> Report:
     ``config.workers > 1``; results are folded in trial order, so the
     output is identical to a serial run.
     """
-    if config.kind == "sweep":
-        raise ConfigError("kind 'sweep' describes a grid; use sweep()")
     if config.kind == "bounds-check":
         results = _bounds_battery(config)
     elif config.workers > 1 and sampler is None:
@@ -274,7 +272,7 @@ def _trial_task(config: ExperimentConfig, t: int, sampler=None) -> TrialResult:
     m = config.resolved_m()
     trial_seed = Seed(config.seed, (t,))
     y = sampler(n, trial_seed) if sampler else sample_gaussian(n, n, trial_seed)
-    pair = gram_schmidt_couple(y)
+    pair = gram_schmidt_couple(y[:, :m])
 
     fields: dict = {}
     if config.kind == "borel":

@@ -63,14 +63,15 @@ def gh_matrices(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
     Column j of G is the projection of y_j onto the span of the earlier
     columns, rebuilt from the stored coupling trace (so F = G + H is an
     algebraic identity up to rounding, independent of projector
-    accuracy); column j of H is (r_j - sqrt(n)) nu_j.
+    accuracy); column j of H is (r_j - sqrt(n)) nu_j.  ``m`` may not
+    exceed the number of columns the pair holds.
     """
-    n = pair.n
-    if not 1 <= m <= n:
-        raise DimensionError(f"m must satisfy 1 <= m <= {n}, got {m}")
+    k = pair.u.shape[1]
+    if not 1 <= m <= k:
+        raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
     coeffs = np.triu(pair.trace[:m, :m], k=1)
     g = pair.u[:, :m] @ coeffs
-    h = (pair.residual_norms[:m] - math.sqrt(n)) * pair.u[:, :m]
+    h = (pair.residual_norms[:m] - math.sqrt(pair.n)) * pair.u[:, :m]
     return g, h
 
 
@@ -149,11 +150,12 @@ def _norm_cdf(x: float) -> float:
 
 
 def _check_block(y: np.ndarray, u: np.ndarray, m: int) -> int:
-    if y.ndim != 2 or y.shape[0] != y.shape[1]:
-        raise DimensionError(f"y must be square, got shape {y.shape}")
+    """Rows n of an n x k pair of blocks, after checking 1 <= m <= k <= n."""
+    if y.ndim != 2 or y.shape[1] > y.shape[0]:
+        raise DimensionError(f"y must be n x k with k <= n, got shape {y.shape}")
     if u.shape != y.shape:
         raise DimensionError(f"u shape {u.shape} does not match y shape {y.shape}")
-    n = y.shape[0]
-    if not 1 <= m <= n:
-        raise DimensionError(f"m must satisfy 1 <= m <= {n}, got {m}")
+    n, k = y.shape
+    if not 1 <= m <= k:
+        raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
     return n

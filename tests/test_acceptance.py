@@ -3,7 +3,7 @@
 Runs every acceptance criterion at its stated scale and tolerance and
 prints one pass/fail line per criterion (run with ``pytest -s`` to see
 them).  Heavy reports are cached and shared between criteria; the whole
-module takes on the order of ten minutes on two cores.
+module takes about 2.5 minutes on two cores.
 
 Known red: criterion 05.  The supremum row-norm ratio at n = 8192,
 m = 256 concentrates near 1.29 (measured 1.26..1.33 over ten

@@ -163,6 +163,16 @@ def test_workers_env_default(monkeypatch):
     assert ns.workers == 3
 
 
+def test_malformed_workers_env_exits_1(monkeypatch):
+    monkeypatch.setenv("HGC_WORKERS", "abc")
+    code, _, err = invoke(["rownorms", "--n", "8", "--m", "2"])
+    assert code == 1
+    assert "invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+    code, _, _ = invoke(["bounds", "--t", "1"])
+    assert code == 0
+
+
 def test_help_matches_golden(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     parts = []

@@ -57,16 +57,52 @@ def test_coupled_pair_invariants():
     assert np.abs(overlaps).max() <= 1e-9
 
 
-def test_matches_qr_oracle():
-    # independent oracle: LAPACK QR with column signs fixed so that the
-    # R diagonal is positive, which is exactly classical Gram-Schmidt
+def plain_gram_schmidt(y):
+    # textbook modified Gram-Schmidt, one column at a time
+    n, k = y.shape
+    u = np.zeros((n, k))
+    trace = np.zeros((k, k))
+    for j in range(k):
+        v = y[:, j].copy()
+        for i in range(j):
+            trace[i, j] = u[:, i] @ v
+            v -= trace[i, j] * u[:, i]
+        trace[j, j] = np.linalg.norm(v)
+        u[:, j] = v / trace[j, j]
+    return u, trace
+
+
+def test_matches_gram_schmidt_oracle():
     n = 64
     y = sample_gaussian(n, n, Seed(5, (0,)))
     pair = gram_schmidt_couple(y)
-    q, r = np.linalg.qr(y)
-    signs = np.sign(np.diag(r))
-    assert np.abs(q * signs - pair.u).max() <= 1e-10
-    assert np.abs(np.abs(np.diag(r)) - pair.residual_norms).max() <= 1e-10
+    u, trace = plain_gram_schmidt(y)
+    assert np.abs(u - pair.u).max() <= 1e-10
+    assert np.abs(trace - pair.trace).max() <= 1e-10
+    assert np.abs(np.diag(trace) - pair.residual_norms).max() <= 1e-10
+
+
+def test_block_coupling_is_leading_block_of_full():
+    n = 40
+    y = sample_gaussian(n, n, Seed(6, (0,)))
+    full = gram_schmidt_couple(y)
+    for m in (1, n // 3, n):
+        block = gram_schmidt_couple(y[:, :m])
+        assert block.u.shape == (n, m) and block.trace.shape == (m, m)
+        assert block.n == n
+        assert np.abs(block.u - full.u[:, :m]).max() <= 1e-12
+        assert np.abs(block.trace - full.trace[:m, :m]).max() <= 1e-12
+        assert np.abs(block.residual_norms - full.residual_norms[:m]).max() <= 1e-12
+
+
+def test_dependent_column_past_block_is_not_read():
+    y = sample_gaussian(6, 6, Seed(7, (0,)))
+    y[:, 4] = 2.0 * y[:, 1]
+    with pytest.raises(DegeneracyError) as err:
+        gram_schmidt_couple(y)
+    assert err.value.column == 5
+    pair = gram_schmidt_couple(y[:, :4])
+    assert pair.u.shape == (6, 4)
 
 
 def test_degenerate_column_named():
@@ -79,7 +115,7 @@ def test_degenerate_column_named():
 
 def test_nonsquare_and_nonfinite_rejected():
     with pytest.raises(DimensionError):
-        gram_schmidt_couple(np.ones((3, 2)))
+        gram_schmidt_couple(np.ones((2, 3)))
     bad = np.eye(3)
     bad[1, 1] = np.nan
     with pytest.raises(DimensionError):
@@ -136,13 +172,6 @@ def test_randomized_identity_injection():
     assert np.array_equal(rot.u, pair.u)
 
 
-def test_randomized_preserves_tail_columns():
-    pair = random_pair(12)
-    rot = randomized_couple(pair, 5, Seed(4, (1,)))
-    assert np.array_equal(rot.y[:, 5:], pair.y[:, 5:])
-    assert np.array_equal(rot.u[:, 5:], pair.u[:, 5:])
-
-
 def test_randomized_preserves_row_block_norms():
     n, m = 48, 20
     pair = random_pair(n)
@@ -150,7 +179,7 @@ def test_randomized_preserves_row_block_norms():
     before = np.linalg.norm(pair.y[:, :m] - math.sqrt(n) * pair.u[:, :m], axis=1)
     after = np.linalg.norm(rot.y[:, :m] - math.sqrt(n) * rot.u[:, :m], axis=1)
     assert np.abs(after - before).max() <= 1e-12 * before.max()
-    assert np.abs(rot.u.T @ rot.u - np.eye(n)).max() <= 1e-12
+    assert np.abs(rot.u.T @ rot.u - np.eye(m)).max() <= 1e-12
 
 
 def test_randomized_range_checks():
