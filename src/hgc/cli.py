@@ -2,8 +2,8 @@
 
 Each subcommand maps onto a harness config; flags are long-form only.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
-(orthogonality or degeneracy), 3 I/O error.  ``HGC_WORKERS`` provides
-the default for ``--workers``.
+(orthogonality, degeneracy, or a crashed worker), 3 I/O error or out of
+memory.  ``HGC_WORKERS`` provides the default for ``--workers``.
 """
 
 from __future__ import annotations
@@ -145,6 +145,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
 
 import hgc.cli as cli
+import hgc.harness as harness
 from hgc import NumericalError
 from hgc.cli import build_parser, main
 
@@ -154,6 +156,41 @@ def test_numerical_error_exit_2(monkeypatch):
     code, _, err = invoke(["rownorms", "--n", "16", "--alpha", "1.0"])
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_memory_error_exit_3(monkeypatch):
+    def boom(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run", boom)
+    code, _, err = invoke(["rownorms", "--n", "16", "--alpha", "1.0"])
+    assert code == 3
+    assert err == "error: out of memory\n"
+
+
+_REAL_TRIAL_TASK = harness._trial_task
+_CRASHING_TRIAL = 2
+
+
+def _crash_on_one_trial(config, t, sampler=None):
+    # Runs in a forked pool worker, which inherits the patched module.
+    # The pause lets the other worker finish the earlier trials first, so
+    # the crashed trial is the first one whose result is lost.
+    if t == _CRASHING_TRIAL:
+        time.sleep(0.5)
+        os._exit(1)
+    return _REAL_TRIAL_TASK(config, t, sampler)
+
+
+def test_crashed_worker_exits_2_naming_the_trial(monkeypatch, capfd):
+    monkeypatch.setattr(harness, "_trial_task", _crash_on_one_trial)
+    code, _, err = invoke(
+        ["rownorms", "--n", "8", "--m", "2", "--trials", "4", "--workers", "2"]
+    )
+    assert code == 2
+    assert err.startswith(f"numerical failure: trial {_CRASHING_TRIAL}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err + capfd.readouterr().err
 
 
 def test_workers_env_default(monkeypatch):

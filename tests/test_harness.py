@@ -17,7 +17,15 @@ from hgc import (
     sample_gaussian,
     sweep,
 )
-from hgc.harness import BOUND_CHECK_LABELS, CSV_HEADER, render_csv, render_json, render_svg
+from hgc.harness import (
+    _PROJECTION_BATCH,
+    BOUND_CHECK_LABELS,
+    CSV_HEADER,
+    _projection_norms,
+    render_csv,
+    render_json,
+    render_svg,
+)
 
 
 def singular_sampler(n, seed):
@@ -152,6 +160,38 @@ def test_bounds_battery_dominates():
     for r in report.results:
         assert 0.0 <= r.sup_F <= r.predicted
         assert r.ratio_sup == pytest.approx(r.sup_F / r.predicted)
+    # The battery's stream is fixed by its seed, so its frequencies are
+    # exact values; a change to the draw order or to a threshold shows here.
+    assert {r.label: r.sup_F for r in report.results} == {
+        "gauss-tail-upper": 0.15893,
+        "gauss-tail-complement": 0.84107,
+        "chi-upper": 0.0006,
+        "chi-lower": 0.00126,
+        "proj-gauss-upper": 0.0141,
+        "proj-gauss-lower": 0.033,
+        "proj-unit-upper": 0.0,
+        "proj-unit-lower": 0.0001,
+        "proj-unit-t": 0.0,
+    }
+
+
+def test_projection_norms_match_qr_loop():
+    amb, k, trials = 256, 64, 300
+    assert trials % _PROJECTION_BATCH != 0  # a partial last batch runs too
+    batched_gen = Seed(5, (2,)).generator()
+    p_gauss, p_unit = _projection_norms(batched_gen, trials, amb, k)
+
+    loop_gen = Seed(5, (2,)).generator()
+    want_gauss, want_unit = np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        q = np.linalg.qr(loop_gen.standard_normal((amb, k)))[0]
+        x = loop_gen.standard_normal(amb)
+        want_gauss[i] = np.linalg.norm(q.T @ x)
+        want_unit[i] = np.linalg.norm(q[0, :])
+    np.testing.assert_allclose(p_gauss, want_gauss, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(p_unit, want_unit, rtol=1e-12, atol=0)
+    # both generators consumed the same draws
+    assert batched_gen.standard_normal() == loop_gen.standard_normal()
 
 
 # --- sweep ---------------------------------------------------------------------
