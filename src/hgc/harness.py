@@ -9,22 +9,28 @@ block rotation from ``(seed, [t, 1])`` -- so serial and parallel runs
 produce identical results, and :func:`emit` persists a report as CSV,
 JSON, or SVG with byte-identical output for identical configs.
 
+Each trial builds its own CSV rows (:class:`TrialResult`), keyed by the
+column names of ``CSV_HEADER``; the report fills in only the columns
+that come from the config (kind, n, m, alpha, beta, coupling, the eps
+envelope and the pooled KS distance), and a column a trial row sets
+itself takes precedence.
+
 Kinds
 -----
 row-norms        truncated row norms of Y - sqrt(n) U vs sqrt(phi(alpha) m)
 gh-split         norms of the projection/residual split F = G + H
 epsilon          the supremum statistic eps_n(m) vs its envelope
 coupling-compare paired eps for the plain and randomized couplings on
-                 the same (Y, U); emitted as two CSV rows per trial
-                 keyed by the ``coupling`` column
+                 the same (Y, U); two rows per trial, each naming its
+                 coupling in the ``coupling`` column
 borel            pools sqrt(n) u_11 across trials; each row carries the
                  trial's value in the ``mean_F`` column and the pooled
                  Kolmogorov-Smirnov distance in ``ks``
 bounds-check     fixed battery of tail-bound dominance checks (see
                  ``BOUND_CHECK_LABELS`` for the row order); each row
-                 carries the empirical frequency in ``sup_F``, the
-                 analytic bound in ``predicted``, and their ratio in
-                 ``ratio_sup``; ``trials`` is ignored
+                 carries its own n, m and label, the empirical frequency
+                 in ``sup_F``, the analytic bound in ``predicted``, and
+                 their ratio in ``ratio_sup``; ``trials`` is ignored
 
 Every matrix kind couples only the n x m block of each sampled Y, the
 columns its statistics read.
@@ -34,10 +40,9 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -53,7 +58,6 @@ from .errors import (
 from .measure import (
     PLAIN_GS,
     RANDOMIZED,
-    SupStatistic,
     decompose_gh,
     epsilon_sup,
     ks_statistic,
@@ -84,7 +88,7 @@ CSV_HEADER = (
 _CSV_FIELDS = tuple(CSV_HEADER.split(","))
 
 
-def default_trials(kind: str, n: int) -> int:
+def default_trials(kind: str) -> int:
     """Default trial count: 200 for borel, 5 otherwise."""
     return 200 if kind == "borel" else 5
 
@@ -104,7 +108,6 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
     workers: int = 1
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -152,23 +155,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Measured statistics of one trial (or one bound check)."""
+    """The CSV rows one trial (or one bound check) measured.
+
+    Each row maps CSV column names to values; columns it leaves out come
+    from the config or stay empty.  A bound check's row also carries its
+    ``label``, which the aggregate reads and the CSV does not hold.
+    """
 
     trial: int
     seed: Seed
-    sup_F: float | None = None
-    inf_F: float | None = None
-    mean_F: float | None = None
-    predicted: float | None = None
-    ratio_sup: float | None = None
-    ratio_inf: float | None = None
-    eps: SupStatistic | None = None
-    eps_randomized: SupStatistic | None = None
-    gh: tuple[float, float, float] | None = None
-    borel_entry: float | None = None
-    label: str | None = None
-    check_dims: tuple[int, int | None] | None = None
-    wall_time_ms: int = 0
+    rows: tuple[dict, ...]
 
 
 @dataclass(frozen=True)
@@ -270,55 +266,62 @@ def emit(report, format: str | None = None, path: str | None = None) -> None:
 
 def _trial_task(config: ExperimentConfig, t: int, sampler=None) -> TrialResult:
     """One trial on substream (seed, [t]); module-level so workers can pickle it."""
-    started = time.perf_counter()
     n = config.n
     m = config.resolved_m()
     trial_seed = Seed(config.seed, (t,))
     y = sampler(n, trial_seed) if sampler else sample_gaussian(n, n, trial_seed)
     pair = gram_schmidt_couple(y[:, :m])
 
-    fields: dict = {}
     if config.kind == "borel":
-        fields["borel_entry"] = float(math.sqrt(n) * pair.u[0, 0])
+        rows = ({"mean_F": float(math.sqrt(n) * pair.u[0, 0])},)
+    elif config.kind == "gh-split":
+        # G/H are defined by the Gram-Schmidt trace, i.e. the plain
+        # coupling, so no rotation is drawn; it would preserve the row
+        # norms anyway.
+        deco = decompose_gh(pair, m)
+        row = _row_norm_columns(deco.f_norms, n, m)
+        row.update(
+            g2_over_m=float(np.mean(deco.g_norms**2) / m),
+            h2_over_m=float(np.mean(deco.h_norms**2) / m),
+            max_cross_over_m=float(np.abs(deco.cross).max() / m),
+        )
+        rows = (row,)
+    elif config.kind == "coupling-compare":
+        plain = _row_norm_columns(truncated_row_norms(pair.y, pair.u, m), n, m)
+        plain.update(
+            coupling=PLAIN_GS,
+            eps=epsilon_sup(pair.y, pair.u, m, PLAIN_GS, config.beta).eps,
+        )
+        rot = randomized_couple(pair, m, Seed(config.seed, (t, 1)))
+        rotated = {
+            "coupling": RANDOMIZED,
+            "eps": epsilon_sup(rot.y, rot.u, m, RANDOMIZED, config.beta).eps,
+        }
+        rows = (plain, rotated)
     else:
-        if config.kind == "coupling-compare":
-            yy, uu = pair.y, pair.u
-            fields["eps"] = epsilon_sup(yy, uu, m, PLAIN_GS, config.beta)
-            rot = randomized_couple(pair, m, Seed(config.seed, (t, 1)))
-            fields["eps_randomized"] = epsilon_sup(rot.y, rot.u, m, RANDOMIZED, config.beta)
-        elif config.coupling == RANDOMIZED:
+        yy, uu = pair.y, pair.u
+        if config.coupling == RANDOMIZED:
             rot = randomized_couple(pair, m, Seed(config.seed, (t, 1)))
             yy, uu = rot.y, rot.u
-        else:
-            yy, uu = pair.y, pair.u
-
-        if config.kind == "gh-split":
-            # G/H are defined by the Gram-Schmidt trace, i.e. the plain
-            # coupling; the rotation preserves the row norms anyway.
-            deco = decompose_gh(pair, m)
-            f_norms = deco.f_norms
-            fields["gh"] = (
-                float(np.mean(deco.g_norms**2) / m),
-                float(np.mean(deco.h_norms**2) / m),
-                float(np.abs(deco.cross).max() / m),
-            )
-        else:
-            f_norms = truncated_row_norms(yy, uu, m)
+        row = _row_norm_columns(truncated_row_norms(yy, uu, m), n, m)
         if config.kind == "epsilon":
-            fields["eps"] = epsilon_sup(yy, uu, m, config.coupling, config.beta)
+            row["eps"] = epsilon_sup(yy, uu, m, config.coupling, config.beta).eps
+        rows = (row,)
+    return TrialResult(trial=t, seed=trial_seed, rows=rows)
 
-        predicted = theory.predicted_row_norm(n, m)
-        fields.update(
-            sup_F=float(f_norms.max()),
-            inf_F=float(f_norms.min()),
-            mean_F=float(f_norms.mean()),
-            predicted=predicted,
-            ratio_sup=float(f_norms.max()) / predicted,
-            ratio_inf=float(f_norms.min()) / predicted,
-        )
 
-    wall = 0 if config.deterministic else int((time.perf_counter() - started) * 1000)
-    return TrialResult(trial=t, seed=trial_seed, wall_time_ms=wall, **fields)
+def _row_norm_columns(f_norms: np.ndarray, n: int, m: int) -> dict:
+    """The row-norm columns of a trial's row: extremes, mean and target ratios."""
+    predicted = theory.predicted_row_norm(n, m)
+    sup, inf = float(f_norms.max()), float(f_norms.min())
+    return {
+        "sup_F": sup,
+        "inf_F": inf,
+        "mean_F": float(f_norms.mean()),
+        "predicted": predicted,
+        "ratio_sup": sup / predicted,
+        "ratio_inf": inf / predicted,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +401,24 @@ def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
     rows.append(("proj-unit-lower", amb, k, unit_lo / trials, tails.unit_lower))
     rows.append(("proj-unit-t", amb, k, unit_t / trials, tails.unit_t))
 
-    results = []
-    for i, (label, row_n, row_m, freq, bnd) in enumerate(rows):
-        results.append(
-            TrialResult(
-                trial=i,
-                seed=Seed(config.seed, (min(i // 2, 2),)),
-                sup_F=freq,
-                predicted=bnd,
-                ratio_sup=freq / bnd,
-                label=label,
-                check_dims=(row_n, row_m),
-            )
+    return [
+        TrialResult(
+            trial=i,
+            seed=Seed(config.seed, (min(i // 2, 2),)),
+            rows=(
+                {
+                    "n": row_n,
+                    "m": row_m,
+                    "coupling": None,
+                    "label": label,
+                    "sup_F": freq,
+                    "predicted": bnd,
+                    "ratio_sup": freq / bnd,
+                },
+            ),
         )
-    return results
+        for i, (label, row_n, row_m, freq, bnd) in enumerate(rows)
+    ]
 
 
 def _projection_norms(
@@ -455,21 +462,22 @@ def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> dict:
         "seed": config.seed,
         "coupling": config.coupling,
     }
+    rows = [row for r in results for row in r.rows]
     if config.kind == "bounds-check":
         agg["checks"] = [
             {
-                "label": r.label,
-                "frequency": r.sup_F,
-                "bound": r.predicted,
-                "ratio": r.ratio_sup,
+                "label": row["label"],
+                "frequency": row["sup_F"],
+                "bound": row["predicted"],
+                "ratio": row["ratio_sup"],
             }
-            for r in results
+            for row in rows
         ]
-        agg["all_dominated"] = all(r.sup_F <= r.predicted for r in results)
+        agg["all_dominated"] = all(c["frequency"] <= c["bound"] for c in agg["checks"])
         return agg
 
     if config.kind == "borel":
-        pooled = [r.borel_entry for r in results]
+        pooled = [row["mean_F"] for row in rows]
         agg["borel"] = summarize(pooled)
         agg["ks"] = ks_statistic(pooled)
         return agg
@@ -479,17 +487,17 @@ def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> dict:
     agg["alpha"] = m / config.n
     agg["beta"] = config.beta
 
-    for name in ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf"):
-        values = [getattr(r, name) for r in results if getattr(r, name) is not None]
+    # Rows that name the randomized coupling themselves are
+    # coupling-compare's second rows; their eps is summarized apart.
+    rotated_eps = [row["eps"] for row in rows if row.get("coupling") == RANDOMIZED]
+    measured = [row for row in rows if row.get("coupling") != RANDOMIZED]
+    for name in ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf", "eps",
+                 "g2_over_m", "h2_over_m", "max_cross_over_m"):
+        values = [row[name] for row in measured if name in row]
         if values:
             agg[name] = summarize(values)
-    if any(r.eps is not None for r in results):
-        agg["eps"] = summarize([r.eps.eps for r in results])
-    if any(r.eps_randomized is not None for r in results):
-        agg["eps_randomized"] = summarize([r.eps_randomized.eps for r in results])
-    if any(r.gh is not None for r in results):
-        for i, name in enumerate(("g2_over_m", "h2_over_m", "max_cross_over_m")):
-            agg[name] = summarize([r.gh[i] for r in results])
+    if rotated_eps:
+        agg["eps_randomized"] = summarize(rotated_eps)
 
     env = {"predicted": theory.predicted_row_norm(config.n, m)}
     if config.n >= 2:
@@ -516,61 +524,28 @@ def _fmt(value) -> str:
 
 
 def _report_rows(report: Report) -> list[dict]:
-    cfg = report.config
-    kind = cfg.kind
-    matrix_kind = kind in ("row-norms", "gh-split", "epsilon", "coupling-compare")
-    m = cfg.resolved_m() if kind != "bounds-check" else None
-    eps_low = eps_up = None
-    if kind in ("epsilon", "coupling-compare") and cfg.n >= 2:
-        eps_low, eps_up = theory.epsilon_envelope(cfg.n, m, 0.0)
-    pooled_ks = report.aggregate.get("ks") if kind == "borel" else None
-
+    """Each trial's rows, completed by the columns that come from the config."""
+    cfg, agg = report.config, report.aggregate
+    env = agg.get("theory", {})
+    from_config = {
+        "kind": cfg.kind,
+        "n": cfg.n,
+        "m": agg.get("m"),
+        "alpha": agg.get("alpha"),
+        "beta": cfg.beta,
+        "coupling": cfg.coupling,
+        "ks": agg.get("ks"),
+    }
     rows = []
     for r in report.results:
-        base = {f: None for f in _CSV_FIELDS}
-        base["kind"] = kind
-        base["n"] = r.check_dims[0] if r.check_dims else cfg.n
-        base["m"] = r.check_dims[1] if r.check_dims else (m if matrix_kind else None)
-        base["alpha"] = (m / cfg.n) if matrix_kind else None
-        base["beta"] = cfg.beta
-        base["trial"] = r.trial
-        base["seed"] = str(r.seed)
-        base["sup_F"] = r.sup_F
-        base["inf_F"] = r.inf_F
-        base["mean_F"] = r.borel_entry if kind == "borel" else r.mean_F
-        base["predicted"] = r.predicted
-        base["ratio_sup"] = r.ratio_sup
-        base["ratio_inf"] = r.ratio_inf
-        base["eps_lower"] = eps_low
-        base["eps_upper"] = eps_up
-        base["ks"] = pooled_ks
-        if r.gh is not None:
-            base["g2_over_m"], base["h2_over_m"], base["max_cross_over_m"] = r.gh
-        if kind == "coupling-compare":
-            first = dict(base)
-            first["coupling"] = PLAIN_GS
-            first["eps"] = r.eps.eps
-            rows.append(first)
-            second = {f: None for f in _CSV_FIELDS}
-            second.update(
-                kind=kind,
-                n=cfg.n,
-                m=m,
-                alpha=m / cfg.n,
-                beta=cfg.beta,
-                trial=r.trial,
-                seed=str(r.seed),
-                coupling=RANDOMIZED,
-                eps=r.eps_randomized.eps,
-                eps_lower=eps_low,
-                eps_upper=eps_up,
-            )
-            rows.append(second)
-        else:
-            base["coupling"] = None if kind == "bounds-check" else cfg.coupling
-            if r.eps is not None:
-                base["eps"] = r.eps.eps
-            rows.append(base)
+        for measured in r.rows:
+            row = dict.fromkeys(_CSV_FIELDS)
+            row.update(from_config, trial=r.trial, seed=str(r.seed))
+            if "eps" in measured:
+                row["eps_lower"] = env.get("eps_lower")
+                row["eps_upper"] = env.get("eps_upper")
+            row.update((f, measured[f]) for f in _CSV_FIELDS if f in measured)
+            rows.append(row)
     return rows
 
 
@@ -629,7 +604,7 @@ def render_json(report) -> str:
             "rows": _sweep_rows(report),
             "cells": [
                 {
-                    "config": _config_dict(cell["config"]),
+                    "config": asdict(cell["config"]),
                     "aggregate": cell["aggregate"],
                     "error": cell["error"],
                 }
@@ -638,7 +613,7 @@ def render_json(report) -> str:
         }
     else:
         doc = {
-            "config": _config_dict(report.config),
+            "config": asdict(report.config),
             "rows": _report_rows(report),
             "aggregate": report.aggregate,
         }
@@ -712,29 +687,6 @@ def render_svg(report) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "n": cfg.n,
-        "m": cfg.m,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "coupling": cfg.coupling,
-        "out": cfg.out,
-        "format": cfg.format,
-        "workers": cfg.workers,
-        "deterministic": cfg.deterministic,
-    }
-
-
-_JSON_KEYS = {
-    "kind", "n", "m", "alpha", "beta", "trials", "seed",
-    "coupling", "out", "format", "workers",
-}
-
-
 def config_from_json(source) -> ExperimentConfig:
     """Build a config from the JSON schema (text, file object, or dict)."""
     if hasattr(source, "read"):
@@ -748,13 +700,14 @@ def config_from_json(source) -> ExperimentConfig:
         data = source
     if not isinstance(data, dict):
         raise ConfigError("JSON config must be an object")
-    unknown = set(data) - _JSON_KEYS
+    # The accepted keys are the config fields, which render_json emits.
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "kind" not in data or "n" not in data:
         raise ConfigError("JSON config requires 'kind' and 'n'")
     kwargs = dict(data)
-    kwargs.setdefault("trials", default_trials(data["kind"], data["n"]))
+    kwargs.setdefault("trials", default_trials(data["kind"]))
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:

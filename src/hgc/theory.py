@@ -70,6 +70,29 @@ def gaussian_tail_bounds(t: float) -> tuple[float, float]:
     return t * core / (1.0 + t * t), core / t
 
 
+def kolmogorov_pvalue(lam: float) -> float:
+    """Asymptotic Kolmogorov p-value Q(lam) of a KS distance.
+
+    For N draws at KS distance D from their CDF, lam = sqrt(N) D and
+    Q(lam) = 2 sum_{k>=1} (-1)^{k-1} e^{-2 k^2 lam^2} is the limit of
+    P(sqrt(N) D_N > lam) (Marsaglia, Tsang & Wang 2003, J. Stat. Softw.
+    8(18)).  Below lam = 1 the equivalent theta-function form
+    1 - sqrt(2 pi) / lam sum_{k>=1} e^{-(2k-1)^2 pi^2 / (8 lam^2)} is
+    summed instead, since it converges fast there.  Each sum stops where
+    its first dropped term is below 1e-40.
+    """
+    if lam < 0:
+        raise DomainError(f"lam must be non-negative, got {lam}")
+    if lam < 0.1:
+        return 1.0  # 1 - Q(0.1) is below 1e-50
+    if lam < 1.0:
+        theta = sum(
+            math.exp(-(((2 * k - 1) * math.pi / lam) ** 2) / 8.0) for k in range(1, 5)
+        )
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * theta
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * lam) ** 2) for k in range(1, 7))
+
+
 def chi_norm_tail(n: int, eps: float) -> float:
     """Bound e^{-eps^2 n / 4} on each norm deviation of a Gaussian vector.
 

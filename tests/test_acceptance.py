@@ -61,7 +61,7 @@ def _criterion(num, name, ok, detail=""):
 
 
 def _median_dev(results, field):
-    return float(np.median([abs(getattr(r, field) - 1.0) for r in results]))
+    return float(np.median([abs(r.rows[0][field] - 1.0) for r in results]))
 
 
 # -- 01 ----------------------------------------------------------------------
@@ -135,7 +135,8 @@ def test_criterion_02_row_norm_leading_order():
 
 def test_criterion_03_flatness():
     def flatness(rep):
-        return [(r.sup_F - r.inf_F) / r.mean_F for r in rep.results]
+        rows = [r.rows[0] for r in rep.results]
+        return [(row["sup_F"] - row["inf_F"]) / row["mean_F"] for row in rows]
 
     at_4096 = flatness(report("gh-split", 4096, alpha=0.5, trials=5))
     at_1024 = flatness(report("gh-split", 1024, alpha=0.5, trials=5))
@@ -176,7 +177,7 @@ def test_criterion_05_small_alpha_regime():
     rep = report("row-norms", 8192, m=256, trials=3)
     target = 256 / math.sqrt(2 * 8192)
     assert target == 2.0
-    ratios = [r.sup_F / target for r in rep.results]
+    ratios = [r.rows[0]["sup_F"] / target for r in rep.results]
     med = float(np.median(ratios))
     ok = 0.85 <= med <= 1.25
     _criterion(
@@ -199,7 +200,7 @@ def test_criterion_06_epsilon_window():
     rep = report("coupling-compare", 4096, beta=1.0, trials=10)
     assert rep.config.resolved_m() == 492
     low, high = _beta_window()
-    values = [r.eps_randomized.eps for r in rep.results]
+    values = [rotated["eps"] for _, rotated in (r.rows for r in rep.results)]
     hits = sum(low < v < high for v in values)
     ok = hits >= 9
     _criterion(
@@ -211,7 +212,9 @@ def test_criterion_06_epsilon_window():
 
 def test_criterion_07_coupling_improvement():
     rep = report("coupling-compare", 4096, beta=1.0, trials=10)
-    wins = sum(1 for r in rep.results if r.eps_randomized.eps < r.eps.eps)
+    # each trial's rows: plain-gs first, randomized second
+    wins = sum(rotated["eps"] < plain["eps"] for plain, rotated in
+               (r.rows for r in rep.results))
     ok = wins >= 9
     _criterion(
         7, "coupling-improvement", ok,

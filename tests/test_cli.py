@@ -231,7 +231,7 @@ def test_help_matches_golden(monkeypatch):
 def test_help_lists_every_flag():
     _, text, _ = invoke(["rownorms", "--help"])
     for flag in ("--n", "--m", "--alpha", "--beta", "--trials", "--seed",
-                 "--coupling", "--out", "--format", "--workers", "--deterministic"):
+                 "--coupling", "--out", "--format", "--workers"):
         assert flag in text
 
 

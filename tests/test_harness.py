@@ -1,6 +1,8 @@
+import csv
+import io
 import json
-import math
 import xml.etree.ElementTree as ET
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hgc import (
     emit,
     epsilon_sup,
     gram_schmidt_couple,
+    randomized_couple,
     run,
     sample_gaussian,
     sweep,
@@ -84,10 +87,10 @@ def test_run_deterministic_and_seed_sensitivity():
     cfg = ExperimentConfig(kind="row-norms", n=48, alpha=1.0, trials=2, seed=5)
     first = run(cfg)
     second = run(cfg)
-    assert [r.sup_F for r in first.results] == [r.sup_F for r in second.results]
+    assert [r.rows for r in first.results] == [r.rows for r in second.results]
     assert render_csv(first) == render_csv(second)
     other = run(ExperimentConfig(kind="row-norms", n=48, alpha=1.0, trials=2, seed=6))
-    assert [r.sup_F for r in other.results] != [r.sup_F for r in first.results]
+    assert [r.rows for r in other.results] != [r.rows for r in first.results]
     # changing only the output path does not change the rows
     redirected = run(
         ExperimentConfig(kind="row-norms", n=48, alpha=1.0, trials=2, seed=5, out="x.csv")
@@ -113,10 +116,12 @@ def test_compare_pairs_from_same_matrices():
     report = run(cfg)
     # recompute trial 0 by hand from the same substreams
     pair = gram_schmidt_couple(sample_gaussian(32, 32, Seed(13, (0,)))[:, :10])
-    expected_plain = epsilon_sup(pair.y, pair.u, 10).eps
-    assert report.results[0].eps.eps == expected_plain
-    assert report.results[0].eps_randomized is not None
-    assert report.results[0].eps_randomized.coupling_kind == "randomized"
+    rot = randomized_couple(pair, 10, Seed(13, (0, 1)))
+    plain, rotated = report.results[0].rows
+    assert plain["coupling"] == "plain-gs"
+    assert plain["eps"] == epsilon_sup(pair.y, pair.u, 10).eps
+    assert rotated["coupling"] == "randomized"
+    assert rotated["eps"] == epsilon_sup(rot.y, rot.u, 10).eps
 
 
 def test_epsilon_randomized_coupling_field():
@@ -125,15 +130,15 @@ def test_epsilon_randomized_coupling_field():
             kind="epsilon", n=32, beta=1.0, trials=2, seed=3, coupling="randomized"
         )
     )
-    for r in report.results:
-        assert r.eps.coupling_kind == "randomized"
-        assert r.eps.beta == 1.0
-        assert r.eps.eps <= r.sup_F + 1e-15
+    for row in json.loads(render_json(report))["rows"]:
+        assert row["coupling"] == "randomized"
+        assert row["beta"] == 1.0
+        assert row["eps"] <= row["sup_F"] + 1e-15
 
 
 def test_borel_kind_pools_entries():
     report = run(ExperimentConfig(kind="borel", n=32, trials=50, seed=8))
-    entries = [r.borel_entry for r in report.results]
+    entries = [r.rows[0]["mean_F"] for r in report.results]
     assert len(set(entries)) == 50
     assert 0 <= report.aggregate["ks"] <= 1
     assert report.aggregate["borel"]["mean"] == pytest.approx(np.mean(entries))
@@ -155,14 +160,15 @@ def test_degenerate_trial_reports_index():
 
 def test_bounds_battery_dominates():
     report = run(ExperimentConfig(kind="bounds-check", n=1, seed=100))
-    assert [r.label for r in report.results] == list(BOUND_CHECK_LABELS)
+    rows = [r.rows[0] for r in report.results]
+    assert [row["label"] for row in rows] == list(BOUND_CHECK_LABELS)
     assert report.aggregate["all_dominated"]
-    for r in report.results:
-        assert 0.0 <= r.sup_F <= r.predicted
-        assert r.ratio_sup == pytest.approx(r.sup_F / r.predicted)
+    for row in rows:
+        assert 0.0 <= row["sup_F"] <= row["predicted"]
+        assert row["ratio_sup"] == pytest.approx(row["sup_F"] / row["predicted"])
     # The battery's stream is fixed by its seed, so its frequencies are
     # exact values; a change to the draw order or to a threshold shows here.
-    assert {r.label: r.sup_F for r in report.results} == {
+    assert {row["label"]: row["sup_F"] for row in rows} == {
         "gauss-tail-upper": 0.15893,
         "gauss-tail-complement": 0.84107,
         "chi-upper": 0.0006,
@@ -258,7 +264,7 @@ def test_csv_floats_roundtrip():
     header = lines[0].split(",")
     row = lines[1].split(",")
     sup_f = float(row[header.index("sup_F")])
-    assert sup_f == report.results[0].sup_F
+    assert sup_f == report.results[0].rows[0]["sup_F"]
 
 
 def test_json_roundtrip_exact(tmp_path):
@@ -269,8 +275,8 @@ def test_json_roundtrip_exact(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["config"]["kind"] == "gh-split"
     for row, res in zip(doc["rows"], report.results):
-        assert row["sup_F"] == res.sup_F
-        assert row["g2_over_m"] == res.gh[0]
+        assert row["sup_F"] == res.rows[0]["sup_F"]
+        assert row["g2_over_m"] == res.rows[0]["g2_over_m"]
         assert row["seed"] == str(res.seed)
     assert doc["aggregate"]["g2_over_m"]["q50"] == report.aggregate["g2_over_m"]["q50"]
 
@@ -294,18 +300,88 @@ def test_emit_unwritable_path_raises_oserror():
         emit(report, "csv", "/nonexistent-dir/r.csv")
 
 
-def test_wall_time_zeroed_in_deterministic_mode():
-    report = run(ExperimentConfig(kind="row-norms", n=16, alpha=1.0, trials=2, seed=1))
-    assert all(r.wall_time_ms == 0 for r in report.results)
-    timed = run(
-        ExperimentConfig(
-            kind="row-norms", n=16, alpha=1.0, trials=2, seed=1, deterministic=False
-        )
+# --- CSV layout per kind ---------------------------------------------------------
+
+_NORMS = {"kind", "n", "m", "alpha", "trial", "seed", "coupling",
+          "sup_F", "inf_F", "mean_F", "predicted", "ratio_sup", "ratio_inf"}
+_EPS = {"beta", "eps", "eps_lower", "eps_upper"}
+_CHECK = {"kind", "n", "trial", "seed", "sup_F", "predicted", "ratio_sup"}
+
+
+def _failing_sweep():
+    return sweep(
+        [ExperimentConfig(kind="row-norms", n=n, m=2, trials=1, seed=4) for n in (2, 16)],
+        sampler=lambda n, seed: (
+            singular_sampler(n, seed) if n == 2 else sample_gaussian(n, n, seed)
+        ),
     )
-    assert render_csv(timed) == render_csv(report)  # wall time is not a CSV field
+
+
+# name -> (report or sweep table factory, non-empty CSV columns of each row)
+_LAYOUTS = {
+    "row-norms": (
+        lambda: run(ExperimentConfig(kind="row-norms", n=16, alpha=0.5, trials=2)),
+        [_NORMS] * 2,
+    ),
+    "gh-split": (
+        lambda: run(ExperimentConfig(kind="gh-split", n=16, alpha=0.5, trials=2)),
+        [_NORMS | {"g2_over_m", "h2_over_m", "max_cross_over_m"}] * 2,
+    ),
+    "epsilon-plain": (
+        lambda: run(ExperimentConfig(kind="epsilon", n=32, beta=1.0, trials=2)),
+        [_NORMS | _EPS] * 2,
+    ),
+    "epsilon-randomized": (
+        lambda: run(ExperimentConfig(kind="epsilon", n=32, beta=1.0, trials=2,
+                                     coupling="randomized")),
+        [_NORMS | _EPS] * 2,
+    ),
+    "coupling-compare": (
+        lambda: run(ExperimentConfig(kind="coupling-compare", n=32, beta=1.0, trials=2)),
+        [_NORMS | _EPS, {"kind", "n", "m", "alpha", "trial", "seed", "coupling"} | _EPS] * 2,
+    ),
+    "borel": (
+        lambda: run(ExperimentConfig(kind="borel", n=16, trials=3)),
+        [{"kind", "n", "trial", "seed", "coupling", "mean_F", "ks"}] * 3,
+    ),
+    "bounds-check": (
+        lambda: run(ExperimentConfig(kind="bounds-check", n=1)),
+        [_CHECK] * 4 + [_CHECK | {"m"}] * 5,
+    ),
+    "sweep-failing-cell": (
+        _failing_sweep,
+        [
+            {"kind", "n", "seed", "coupling"},
+            _NORMS - {"trial"} | {"eps_lower", "eps_upper"},
+        ],
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _layout_report(name):
+    return _LAYOUTS[name][0]()
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUTS))
+def test_csv_columns_filled_per_row(name):
+    rows = csv.DictReader(io.StringIO(render_csv(_layout_report(name))))
+    assert [{col for col, value in row.items() if value} for row in rows] == _LAYOUTS[name][1]
 
 
 # --- JSON config ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUTS))
+def test_json_report_config_runs_again(name):
+    report = _layout_report(name)
+    doc = json.loads(render_json(report))
+    if "cells" in doc:
+        pairs = zip((cell["config"] for cell in doc["cells"]), report.cells)
+        assert all(config_from_json(emitted) == cell["config"] for emitted, cell in pairs)
+    else:
+        assert config_from_json(doc["config"]) == report.config
+
 
 
 def test_config_from_json_roundtrip():

@@ -18,7 +18,7 @@ from hgc import (
     projection_tails,
     sphere_sup_threshold,
 )
-from hgc.theory import SERIES_SWITCH
+from hgc.theory import SERIES_SWITCH, kolmogorov_pvalue
 
 mpmath.mp.dps = 50
 
@@ -131,6 +131,23 @@ def test_gaussian_tail_ordering_and_domain():
         assert 0 < lower <= upper
     with pytest.raises(DomainError):
         gaussian_tail_bounds(0.0)
+
+
+def test_kolmogorov_pvalue_values():
+    # the classical 5% and 1% critical values of sqrt(N) D
+    assert kolmogorov_pvalue(1.3581) == pytest.approx(0.05, abs=1e-3)
+    assert kolmogorov_pvalue(1.6276) == pytest.approx(0.01, abs=1e-3)
+    assert kolmogorov_pvalue(0.0) == 1.0
+    # the theta form below lam = 1 and the alternating series above agree
+    assert kolmogorov_pvalue(1.0 - 1e-12) == pytest.approx(kolmogorov_pvalue(1.0), abs=1e-11)
+    for lam in (0.3, 0.8, 1.2, 2.5):
+        series = 2 * mpmath.nsum(
+            lambda k: (-1) ** (k - 1) * mpmath.exp(-2 * k**2 * mpmath.mpf(lam) ** 2),
+            [1, mpmath.inf],
+        )
+        assert kolmogorov_pvalue(lam) == pytest.approx(float(series), abs=1e-12)
+    with pytest.raises(DomainError):
+        kolmogorov_pvalue(-0.1)
 
 
 def test_chi_norm_tail_values():
