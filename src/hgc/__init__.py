@@ -35,7 +35,6 @@ from .harness import (
 )
 from .measure import (
     RowBlockDecomposition,
-    SupStatistic,
     decompose_gh,
     epsilon_sup,
     gh_matrices,
@@ -46,10 +45,8 @@ from .measure import (
 from .rng import Seed, sample_gaussian
 from .theory import (
     ProjectionTails,
-    TheoryEnvelope,
     beta_interval,
     chi_norm_tail,
-    envelope,
     epsilon_envelope,
     gaussian_tail_bounds,
     hoeffding_bound,
@@ -72,16 +69,13 @@ __all__ = [
     "RotatedPair",
     "RowBlockDecomposition",
     "Seed",
-    "SupStatistic",
     "SweepTable",
-    "TheoryEnvelope",
     "TrialResult",
     "beta_interval",
     "chi_norm_tail",
     "config_from_json",
     "decompose_gh",
     "emit",
-    "envelope",
     "epsilon_envelope",
     "epsilon_sup",
     "gaussian_tail_bounds",

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import theory
 from .coupling import gram_schmidt_couple
+from .criteria import randomized_wins, run_selftest
 from .errors import ConfigError, DegeneracyError, DomainError, NumericalError
 from .harness import (
     ExperimentConfig,
@@ -28,7 +29,6 @@ from .harness import (
     sweep,
 )
 from .rng import Seed, sample_gaussian
-from .selftest import run_selftest
 
 _KIND_OF_COMMAND = {
     "rownorms": "row-norms",
@@ -217,6 +217,8 @@ def _cmd_sweep(ns) -> int:
     if not dims:
         raise ConfigError("empty --n list")
     trials = ns.trials if ns.trials is not None else default_trials(ns.kind)
+    # The cells take no out or format: the sweep's table goes to --out, and
+    # a cell's config run again from the JSON must not overwrite it.
     table = sweep(
         ExperimentConfig(
             kind=ns.kind,
@@ -227,8 +229,6 @@ def _cmd_sweep(ns) -> int:
             trials=trials,
             seed=ns.seed,
             coupling=ns.coupling,
-            out=ns.out,
-            format=ns.format,
             workers=ns.workers,
         )
         for n in dims
@@ -350,11 +350,8 @@ def _summary(report: Report) -> str:
             )
             bits.append(f"eps q50={agg['eps']['q50']:.4f}{window}")
         if "eps_randomized" in agg:
-            # coupling-compare rows: plain-gs first, randomized second
-            wins = sum(rotated["eps"] < plain["eps"] for plain, rotated in
-                       (r.rows for r in report.results))
             bits.append(
                 f"randomized eps q50={agg['eps_randomized']['q50']:.4f}, "
-                f"improved in {wins}/{agg['trials']} trials"
+                f"improved in {randomized_wins(report)}/{agg['trials']} trials"
             )
     return head + " " + "; ".join(bits) + "."

@@ -86,6 +86,9 @@ CSV_HEADER = (
     "max_cross_over_m,ks"
 )
 _CSV_FIELDS = tuple(CSV_HEADER.split(","))
+# The measured columns a report summarizes and a sweep row reports the median of.
+_SUMMARIZED = ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf", "eps",
+               "g2_over_m", "h2_over_m", "max_cross_over_m")
 
 
 def default_trials(kind: str) -> int:
@@ -290,12 +293,12 @@ def _trial_task(config: ExperimentConfig, t: int, sampler=None) -> TrialResult:
         plain = _row_norm_columns(truncated_row_norms(pair.y, pair.u, m), n, m)
         plain.update(
             coupling=PLAIN_GS,
-            eps=epsilon_sup(pair.y, pair.u, m, PLAIN_GS, config.beta).eps,
+            eps=epsilon_sup(pair.y, pair.u, m),
         )
         rot = randomized_couple(pair, m, Seed(config.seed, (t, 1)))
         rotated = {
             "coupling": RANDOMIZED,
-            "eps": epsilon_sup(rot.y, rot.u, m, RANDOMIZED, config.beta).eps,
+            "eps": epsilon_sup(rot.y, rot.u, m),
         }
         rows = (plain, rotated)
     else:
@@ -305,7 +308,7 @@ def _trial_task(config: ExperimentConfig, t: int, sampler=None) -> TrialResult:
             yy, uu = rot.y, rot.u
         row = _row_norm_columns(truncated_row_norms(yy, uu, m), n, m)
         if config.kind == "epsilon":
-            row["eps"] = epsilon_sup(yy, uu, m, config.coupling, config.beta).eps
+            row["eps"] = epsilon_sup(yy, uu, m)
         rows = (row,)
     return TrialResult(trial=t, seed=trial_seed, rows=rows)
 
@@ -491,8 +494,7 @@ def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> dict:
     # coupling-compare's second rows; their eps is summarized apart.
     rotated_eps = [row["eps"] for row in rows if row.get("coupling") == RANDOMIZED]
     measured = [row for row in rows if row.get("coupling") != RANDOMIZED]
-    for name in ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf", "eps",
-                 "g2_over_m", "h2_over_m", "max_cross_over_m"):
+    for name in _SUMMARIZED:
         values = [row[name] for row in measured if name in row]
         if values:
             agg[name] = summarize(values)
@@ -566,8 +568,7 @@ def _sweep_rows(table: SweepTable) -> list[dict]:
         row["m"] = agg.get("m")
         row["alpha"] = agg.get("alpha")
         row["beta"] = agg.get("beta")
-        for name in ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf", "eps",
-                     "g2_over_m", "h2_over_m", "max_cross_over_m"):
+        for name in _SUMMARIZED:
             if name in agg:
                 row[name] = agg[name]["q50"]
         theory_block = agg.get("theory", {})

@@ -39,17 +39,6 @@ class RowBlockDecomposition:
     cross: np.ndarray
 
 
-@dataclass(frozen=True)
-class SupStatistic:
-    """The supremum statistic eps_n(m) = max |y_ij - sqrt(n) u_ij| over j <= m."""
-
-    eps: float
-    n: int
-    m: int
-    beta: float | None = None
-    coupling_kind: str = PLAIN_GS
-
-
 def truncated_row_norms(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
     """Euclidean norms of the first m coordinates of each row of Y - sqrt(n) U."""
     n = _check_block(y, u, m)
@@ -90,23 +79,11 @@ def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
     )
 
 
-def epsilon_sup(
-    y: np.ndarray,
-    u: np.ndarray,
-    m: int,
-    coupling_kind: str = PLAIN_GS,
-    beta: float | None = None,
-) -> SupStatistic:
-    """Max-absolute entry of the n x m block of Y - sqrt(n) U."""
+def epsilon_sup(y: np.ndarray, u: np.ndarray, m: int) -> float:
+    """eps_n(m): the max-absolute entry of the n x m block of Y - sqrt(n) U."""
     n = _check_block(y, u, m)
     diff = y[:, :m] - math.sqrt(n) * u[:, :m]
-    return SupStatistic(
-        eps=float(np.abs(diff).max()),
-        n=n,
-        m=m,
-        beta=beta,
-        coupling_kind=coupling_kind,
-    )
+    return float(np.abs(diff).max())
 
 
 def ks_statistic(samples) -> float:

@@ -22,12 +22,6 @@ from .errors import DomainError
 # Below this alpha the closed form is replaced by its series expansion.
 SERIES_SWITCH = 1e-4
 
-# Correction exponent delta of the O(m^delta) terms; carried as
-# documentation metadata only, never asserted (the constants inside the
-# corrections are unknown, and there is a trade-off between delta and
-# the concentration rate).
-DEFAULT_DELTA = 0.4
-
 
 def phi(alpha: float) -> float:
     """Limit profile of squared truncated row norms per unit m.
@@ -214,31 +208,6 @@ def sphere_sup_threshold(n: int, m: int, slack: float) -> tuple[float, float]:
     lower = (1.0 - slack) * math.sqrt(2.0 * math.log(n)) / math.sqrt(n)
     upper = (1.0 + slack) * math.sqrt(2.0 * math.log(n * m)) / math.sqrt(n)
     return lower, upper
-
-
-@dataclass(frozen=True)
-class TheoryEnvelope:
-    """Analytic predictions bundled for one (n, m) configuration."""
-
-    alpha: float
-    phi: float
-    row_norm_target: float
-    eps_lower: float
-    eps_upper: float
-    delta: float = DEFAULT_DELTA
-    label: str = "leading order"
-
-
-def envelope(n: int, m: int, slack: float = 0.0) -> TheoryEnvelope:
-    """Bundle phi, the row-norm target, and the eps envelope for (n, m), n >= 2."""
-    lower, upper = epsilon_envelope(n, m, slack)
-    return TheoryEnvelope(
-        alpha=m / n,
-        phi=phi(m / n),
-        row_norm_target=predicted_row_norm(n, m),
-        eps_lower=lower,
-        eps_upper=upper,
-    )
 
 
 def _check_sizes(n: int, m: int) -> None:

@@ -11,6 +11,7 @@ import hgc.cli as cli
 import hgc.harness as harness
 from hgc import NumericalError
 from hgc.cli import build_parser, main
+from hgc.criteria import CRITERIA
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,6 +114,22 @@ def test_sweep_runs_grid(tmp_path):
     assert "2/2 cells ok" in stdout
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_sweep_cell_runs_again_without_overwriting_the_table(tmp_path):
+    table = tmp_path / "s.json"
+    code, _, _ = invoke(
+        ["sweep", "--kind", "row-norms", "--n", "8,16", "--m", "2", "--trials", "1",
+         "--out", str(table), "--format", "json"]
+    )
+    assert code == 0
+    before = table.read_bytes()
+    cell = tmp_path / "cell.json"
+    cell.write_text(json.dumps(json.loads(before)["cells"][0]["config"]))
+    code, stdout, _ = invoke(["--config", str(cell)])
+    assert code == 0
+    assert "row-norms: n=8" in stdout
+    assert table.read_bytes() == before
 
 
 def test_config_file_runs(tmp_path):
@@ -249,5 +266,5 @@ def test_selftest_passes():
     code, stdout, _ = invoke(["selftest", "--seed", "0"])
     assert code == 0
     lines = [l for l in stdout.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 9
+    assert len(lines) == sum(c.reduced is not None for c in CRITERIA)
     assert all(l.startswith("PASS") for l in lines)

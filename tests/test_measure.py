@@ -130,22 +130,19 @@ def test_decompose_range_check():
 def test_epsilon_sup_zero_difference():
     y = sample_gaussian(6, 6, Seed(3))
     u = y / math.sqrt(6)
-    assert epsilon_sup(y, u, 4).eps <= 1e-15
+    assert epsilon_sup(y, u, 4) <= 1e-15
 
 
 def test_epsilon_sup_hand_case():
     pair = hand_pair()
-    stat = epsilon_sup(pair.y, pair.u, 2)
-    assert stat.eps == pytest.approx(1.0, rel=1e-12)
-    assert stat.n == 2 and stat.m == 2
-    assert stat.coupling_kind == "plain-gs"
+    assert epsilon_sup(pair.y, pair.u, 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_epsilon_sup_below_max_row_norm():
     pair = random_pair(32)
     for m in (1, 7, 32):
-        stat = epsilon_sup(pair.y, pair.u, m)
-        assert stat.eps <= truncated_row_norms(pair.y, pair.u, m).max() + 1e-15
+        eps = epsilon_sup(pair.y, pair.u, m)
+        assert eps <= truncated_row_norms(pair.y, pair.u, m).max() + 1e-15
 
 
 # --- ks_statistic -------------------------------------------------------------

@@ -9,7 +9,6 @@ from hgc import (
     DomainError,
     beta_interval,
     chi_norm_tail,
-    envelope,
     epsilon_envelope,
     gaussian_tail_bounds,
     hoeffding_bound,
@@ -242,16 +241,6 @@ def test_sphere_sup_threshold_values():
     assert square[1] / square[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     with pytest.raises(DomainError):
         sphere_sup_threshold(500, 0, 0.0)
-
-
-def test_envelope_bundle():
-    env = envelope(4096, 2048)
-    assert env.alpha == 0.5
-    assert env.phi == phi(0.5)
-    assert env.row_norm_target == predicted_row_norm(4096, 2048)
-    assert env.eps_lower <= env.eps_upper
-    assert 0 < env.delta < 0.5
-    assert env.label == "leading order"
 
 
 # --- cross-check every calculator against 50-digit evaluation ---------------
