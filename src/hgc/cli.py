@@ -20,6 +20,8 @@ from .coupling import gram_schmidt_couple
 from .criteria import randomized_wins, run_selftest
 from .errors import ConfigError, DegeneracyError, DomainError, NumericalError
 from .harness import (
+    COUPLINGS,
+    FORMATS,
     ExperimentConfig,
     Report,
     config_from_json,
@@ -53,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def experiment_flags(p, need_n=True):
-        p.add_argument("--n", type=int, required=need_n, help="matrix dimension")
+    def experiment_flags(p):
         p.add_argument("--m", type=int, help="truncation size m")
         p.add_argument("--alpha", type=float, help="size as m = floor(alpha n)")
         p.add_argument("--beta", type=float, help="size as m = floor(beta n / ln n)")
@@ -62,12 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         p.add_argument(
             "--coupling",
-            choices=("plain-gs", "randomized"),
+            choices=COUPLINGS,
             default="plain-gs",
             help="which coupling produces the reported statistics",
         )
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+        p.add_argument("--format", choices=FORMATS, default="csv")
         # argparse converts a string default through ``type``, so a
         # malformed $HGC_WORKERS is reported as a usage error (exit 1).
         p.add_argument(
@@ -83,23 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd, kind in _KIND_OF_COMMAND.items():
         p = sub.add_parser(cmd, help=f"run the {kind} experiment")
+        p.add_argument("--n", type=int, required=True, help="matrix dimension")
         experiment_flags(p)
 
     p = sub.add_parser("sweep", help="run a grid of experiments over n")
-    p.add_argument("--kind", default="row-norms",
-                   choices=("row-norms", "gh-split", "epsilon", "coupling-compare", "borel"),
+    p.add_argument("--kind", default="row-norms", choices=tuple(_KIND_OF_COMMAND.values()),
                    help="experiment kind for every grid cell")
     p.add_argument("--n", required=True, help="comma-separated dimensions, e.g. 256,512")
-    p.add_argument("--m", type=int, help="truncation size m")
-    p.add_argument("--alpha", type=float, help="size as m = floor(alpha n)")
-    p.add_argument("--beta", type=float, help="size as m = floor(beta n / ln n)")
-    p.add_argument("--trials", type=int, help="trial count per cell")
-    p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    p.add_argument("--coupling", choices=("plain-gs", "randomized"), default="plain-gs")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.add_argument("--workers", type=int,
-                   default=os.environ.get("HGC_WORKERS", "1"))
+    experiment_flags(p)
 
     p = sub.add_parser("bounds", help="print analytic tail bounds / run dominance checks")
     p.add_argument("--t", type=float, help="Gaussian tail threshold t > 0")
@@ -114,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the Monte Carlo bound-dominance battery")
     p.add_argument("--seed", type=int, default=0, help="root seed for --check")
     p.add_argument("--out", help="output file path for --check")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
 
     p = sub.add_parser("selftest", help="run the acceptance checks at reduced scale")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
@@ -155,7 +147,8 @@ def _dispatch(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
             raise ConfigError("--config replaces the subcommand; give one or the other")
         with open(ns.config, "r", encoding="utf-8") as fh:
             config = config_from_json(fh)
-        return _run_and_report(config)
+        _run_and_report(config)
+        return 0
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return 1
@@ -167,30 +160,26 @@ def _dispatch(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
         return _cmd_bounds(ns)
     if ns.command == "selftest":
         return 0 if run_selftest(seed=ns.seed) else 2
-    kind = _KIND_OF_COMMAND[ns.command]
+    _run_and_report(_experiment(ns, _KIND_OF_COMMAND[ns.command], ns.n, out=ns.out,
+                                format=ns.format))
+    return 0
+
+
+def _experiment(ns: argparse.Namespace, kind: str, n: int, **output) -> ExperimentConfig:
+    """The config of one experiment of size ``n`` from the experiment flags."""
     trials = ns.trials if ns.trials is not None else default_trials(kind)
-    config = ExperimentConfig(
-        kind=kind,
-        n=ns.n,
-        m=ns.m,
-        alpha=ns.alpha,
-        beta=ns.beta,
-        trials=trials,
-        seed=ns.seed,
-        coupling=ns.coupling,
-        out=ns.out,
-        format=ns.format,
-        workers=ns.workers,
-    )
-    return _run_and_report(config)
+    return ExperimentConfig(kind=kind, n=n, m=ns.m, alpha=ns.alpha, beta=ns.beta,
+                            trials=trials, seed=ns.seed, coupling=ns.coupling,
+                            workers=ns.workers, **output)
 
 
-def _run_and_report(config: ExperimentConfig) -> int:
+def _run_and_report(config: ExperimentConfig) -> Report:
+    """Run a config, print its summary line, and write it to ``config.out`` if set."""
     report = run(config)
     print(_summary(report))
     if config.out:
-        emit(report)
-    return 0
+        emit(report, config.format, config.out)
+    return report
 
 
 def _cmd_couple(ns) -> int:
@@ -216,23 +205,16 @@ def _cmd_sweep(ns) -> int:
         raise ConfigError(f"bad --n list {ns.n!r}: {exc}") from exc
     if not dims:
         raise ConfigError("empty --n list")
-    trials = ns.trials if ns.trials is not None else default_trials(ns.kind)
     # The cells take no out or format: the sweep's table goes to --out, and
-    # a cell's config run again from the JSON must not overwrite it.
-    table = sweep(
-        ExperimentConfig(
-            kind=ns.kind,
-            n=n,
-            m=ns.m,
-            alpha=ns.alpha,
-            beta=ns.beta,
-            trials=trials,
-            seed=ns.seed,
-            coupling=ns.coupling,
-            workers=ns.workers,
-        )
-        for n in dims
-    )
+    # a cell's config run again from the JSON must not overwrite it.  An
+    # invalid cell is an error of the whole grid, so no cell runs.
+    configs = []
+    for n in dims:
+        try:
+            configs.append(_experiment(ns, ns.kind, n))
+        except ConfigError as exc:
+            raise ConfigError(f"n={n}: {exc}") from exc
+    table = sweep(configs)
     ok = sum(1 for cell in table.cells if cell["error"] is None)
     print(f"sweep: {ok}/{len(table.cells)} cells ok over n={dims} (kind={ns.kind}).")
     for cell in table.cells:
@@ -284,11 +266,7 @@ def _cmd_bounds(ns) -> int:
         config = ExperimentConfig(
             kind="bounds-check", n=1, seed=ns.seed, out=ns.out, format=ns.format
         )
-        report = run(config)
-        print(_summary(report))
-        if ns.out:
-            emit(report)
-        if not report.aggregate["all_dominated"]:
+        if not _run_and_report(config).aggregate["all_dominated"]:
             return 2
         printed = True
     if not printed:

@@ -76,8 +76,6 @@ class RotatedPair:
 
     y: np.ndarray
     u: np.ndarray
-    n: int
-    m: int
 
 
 def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
@@ -155,4 +153,4 @@ def randomized_couple(
         v_m = haar_orthogonal(m, seed)
     elif v_m.shape != (m, m):
         raise DimensionError(f"injected rotation must be {m}x{m}, got {v_m.shape}")
-    return RotatedPair(y=pair.y[:, :m] @ v_m, u=pair.u[:, :m] @ v_m, n=pair.n, m=m)
+    return RotatedPair(y=pair.y[:, :m] @ v_m, u=pair.u[:, :m] @ v_m)

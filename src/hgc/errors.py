@@ -26,6 +26,11 @@ class DegeneracyError(ArithmeticError):
             f"{threshold:.3e}"
         )
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so that the error
+        # crosses a process boundary (a pool worker's trial) intact.
+        return type(self), (self.column, self.residual, self.threshold)
+
 
 class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
@@ -38,3 +43,6 @@ class NumericalError(RuntimeError):
         self.trial = trial
         self.cause = cause
         super().__init__(f"trial {trial}: {cause}")
+
+    def __reduce__(self):
+        return type(self), (self.trial, self.cause)

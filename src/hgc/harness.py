@@ -5,9 +5,12 @@ dimension, a truncation size (exactly one of ``m``, ``alpha`` with
 m = floor(alpha n), or ``beta`` with m = floor(beta n / ln n)), a trial
 count, and a root seed.  :func:`run` executes the trials on derived
 substreams -- trial t samples from ``(seed, [t])`` and its optional
-block rotation from ``(seed, [t, 1])`` -- so serial and parallel runs
-produce identical results, and :func:`emit` persists a report as CSV,
-JSON, or SVG with byte-identical output for identical configs.
+block rotation from ``(seed, [t, 1])`` -- through one ordered map, in
+this process or in a pool of ``workers`` processes, so serial and
+parallel runs produce identical results, and :func:`emit` writes a
+report as CSV, JSON, or SVG with byte-identical output for identical
+configs.  Every trial draws its Gaussian Y through the module global
+``sample_gaussian``.
 
 Each trial builds its own CSV rows (:class:`TrialResult`), keyed by the
 column names of ``CSV_HEADER``; the report fills in only the columns
@@ -42,7 +45,9 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -186,50 +191,46 @@ class SweepTable:
     cells: list[dict]
 
 
-def run(config: ExperimentConfig, sampler=None) -> Report:
+def run(config: ExperimentConfig) -> Report:
     """Execute all trials of a config and aggregate them.
 
-    ``sampler`` optionally replaces the Gaussian sampler (test hook,
-    signature ``sampler(n, seed) -> ndarray``); a custom sampler forces
-    serial execution.  Trials run in parallel worker processes when
-    ``config.workers > 1``; results are folded in trial order, so the
-    output is identical to a serial run.  A worker that dies breaks the
-    pool, and the first trial whose result was lost is reported as a
-    :class:`NumericalError`.
+    Trials run in one ordered map over the trial indices: the builtin
+    ``map`` when ``config.workers == 1``, a process pool's otherwise,
+    which submits every trial up front.  Results are folded in trial
+    order, so the output does not depend on the worker count.  A
+    degenerate trial, or a worker that dies and breaks the pool, is
+    reported as a :class:`NumericalError` naming the first trial without
+    a result.
     """
     if config.kind == "bounds-check":
         results = _bounds_battery(config)
-    elif config.workers > 1 and sampler is None:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_trial_task, config, t) for t in range(config.trials)]
-            results = []
-            for t, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except (DegeneracyError, BrokenProcessPool) as exc:
-                    raise NumericalError(t, exc) from exc
     else:
         results = []
-        for t in range(config.trials):
+        with _trial_map(config.workers) as trial_map:
             try:
-                results.append(_trial_task(config, t, sampler))
-            except DegeneracyError as exc:
-                raise NumericalError(t, exc) from exc
+                for result in trial_map(_trial_task, repeat(config), range(config.trials)):
+                    results.append(result)
+            except (DegeneracyError, BrokenProcessPool) as exc:
+                raise NumericalError(len(results), exc) from exc
     return Report(config=config, results=results, aggregate=_aggregate(config, results))
 
 
-def sweep(configs, sampler=None) -> SweepTable:
-    """Run a grid of configs; per-cell failures do not stop other cells."""
+def sweep(configs) -> SweepTable:
+    """Run a grid of configs; a failing cell does not stop the others.
+
+    Every config is valid by construction, so what a cell records is a
+    failure of its run (a numerical failure, for one); an invalid cell
+    never reaches the grid.
+    """
     configs = list(configs)
     if not configs:
         raise ConfigError("empty sweep grid")
     cells = []
     for cfg in configs:
         try:
-            report = run(cfg, sampler=sampler)
+            report = run(cfg)
             cells.append({"config": cfg, "aggregate": report.aggregate, "error": None})
-        except (ConfigError, NumericalError, DegeneracyError, DimensionError,
-                DomainError) as exc:
+        except (NumericalError, DimensionError, DomainError) as exc:
             cells.append(
                 {
                     "config": cfg,
@@ -240,26 +241,21 @@ def sweep(configs, sampler=None) -> SweepTable:
     return SweepTable(cells=cells)
 
 
-def emit(report, format: str | None = None, path: str | None = None) -> None:
-    """Persist a Report or SweepTable as csv, json, or svg.
+def emit(report, format: str, path: str) -> None:
+    """Write a Report or SweepTable to ``path`` as csv, json, or svg.
 
     Output is byte-identical for identical inputs: fixed field order,
     shortest round-trip float formatting, rows ordered by trial index.
     """
-    cfg = getattr(report, "config", None)
-    fmt = format or (cfg.format if cfg else "csv")
-    target = path or (cfg.out if cfg else None)
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown format {fmt!r}")
-    if target is None:
-        raise ConfigError("no output path given")
-    if fmt == "csv":
+    if format not in FORMATS:
+        raise ConfigError(f"unknown format {format!r}")
+    if format == "csv":
         text = render_csv(report)
-    elif fmt == "json":
+    elif format == "json":
         text = render_json(report)
     else:
         text = render_svg(report)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -267,12 +263,22 @@ def emit(report, format: str | None = None, path: str | None = None) -> None:
 # trial execution
 
 
-def _trial_task(config: ExperimentConfig, t: int, sampler=None) -> TrialResult:
+@contextmanager
+def _trial_map(workers: int):
+    """An ordered ``map``: the builtin for one worker, else a process pool's."""
+    if workers == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+
+
+def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:
     """One trial on substream (seed, [t]); module-level so workers can pickle it."""
     n = config.n
     m = config.resolved_m()
     trial_seed = Seed(config.seed, (t,))
-    y = sampler(n, trial_seed) if sampler else sample_gaussian(n, n, trial_seed)
+    y = sample_gaussian(n, n, trial_seed)
     pair = gram_schmidt_couple(y[:, :m])
 
     if config.kind == "borel":

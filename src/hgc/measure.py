@@ -30,9 +30,6 @@ class RowBlockDecomposition:
     its two parts; ``cross[i]`` is the inner product <G_i, H_i>.
     """
 
-    n: int
-    m: int
-    alpha: float
     f_norms: np.ndarray
     g_norms: np.ndarray
     h_norms: np.ndarray
@@ -69,9 +66,6 @@ def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
     g, h = gh_matrices(pair, m)
     f_norms = truncated_row_norms(pair.y, pair.u, m)
     return RowBlockDecomposition(
-        n=pair.n,
-        m=m,
-        alpha=m / pair.n,
         f_norms=f_norms,
         g_norms=np.linalg.norm(g, axis=1),
         h_norms=np.linalg.norm(h, axis=1),

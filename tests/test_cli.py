@@ -9,7 +9,7 @@ import pytest
 
 import hgc.cli as cli
 import hgc.harness as harness
-from hgc import NumericalError
+from hgc import NumericalError, Seed
 from hgc.cli import build_parser, main
 from hgc.criteria import CRITERIA
 
@@ -132,6 +132,18 @@ def test_sweep_cell_runs_again_without_overwriting_the_table(tmp_path):
     assert table.read_bytes() == before
 
 
+def test_sweep_with_an_invalid_cell_runs_no_cell(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = invoke(
+        ["sweep", "--kind", "epsilon", "--n", "1,32,64", "--beta", "1", "--trials", "2",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert err == "error: n=1: beta sizing needs n >= 2\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_config_file_runs(tmp_path):
     cfg = tmp_path / "run.json"
     out = tmp_path / "out.csv"
@@ -165,6 +177,30 @@ def test_io_error_exit_3(tmp_path):
     assert "i/o error" in err
 
 
+def _two_checks(config):
+    # One bound dominated, one violated.
+    return [
+        harness.TrialResult(trial=i, seed=Seed(config.seed, (i,)), rows=(
+            {"n": 1, "m": None, "coupling": None, "label": label,
+             "sup_F": freq, "predicted": 0.1, "ratio_sup": freq / 0.1},
+        ))
+        for i, (label, freq) in enumerate((("held", 0.05), ("broken", 0.2)))
+    ]
+
+
+def test_bounds_check_violation_exits_2(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "_bounds_battery", _two_checks)
+    out = tmp_path / "bounds.json"
+    code, stdout, _ = invoke(["bounds", "--check", "--out", str(out), "--format", "json"])
+    assert code == 2
+    assert len(stdout.splitlines()) == 1
+    assert "2 tail bounds vs Monte Carlo: VIOLATED" in stdout
+    doc = json.loads(out.read_text())
+    assert doc["config"]["kind"] == "bounds-check"
+    assert [row["trial"] for row in doc["rows"]] == [0, 1]
+    assert doc["aggregate"]["all_dominated"] is False
+
+
 def test_numerical_error_exit_2(monkeypatch):
     def boom(config):
         raise NumericalError(0, ArithmeticError("singular"))
@@ -189,14 +225,14 @@ _REAL_TRIAL_TASK = harness._trial_task
 _CRASHING_TRIAL = 2
 
 
-def _crash_on_one_trial(config, t, sampler=None):
+def _crash_on_one_trial(config, t):
     # Runs in a forked pool worker, which inherits the patched module.
     # The pause lets the other worker finish the earlier trials first, so
     # the crashed trial is the first one whose result is lost.
     if t == _CRASHING_TRIAL:
         time.sleep(0.5)
         os._exit(1)
-    return _REAL_TRIAL_TASK(config, t, sampler)
+    return _REAL_TRIAL_TASK(config, t)
 
 
 def test_crashed_worker_exits_2_naming_the_trial(monkeypatch, capfd):

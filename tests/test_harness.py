@@ -1,15 +1,19 @@
 import csv
 import io
 import json
+import pickle
 import xml.etree.ElementTree as ET
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import hgc.harness as harness
 from hgc import (
     ConfigError,
+    DegeneracyError,
     ExperimentConfig,
+    NumericalError,
     Seed,
     config_from_json,
     emit,
@@ -31,11 +35,21 @@ from hgc.harness import (
 )
 
 
-def singular_sampler(n, seed):
-    # test hook: second column duplicates the first
-    y = sample_gaussian(n, n, seed)
-    y[:, 1] = y[:, 0]
-    return y
+def make_singular(monkeypatch, singular):
+    """Make the Y of every trial for which ``singular(n, seed)`` holds degenerate.
+
+    Patches ``harness.sample_gaussian`` so that column 2 of such a Y
+    repeats column 1.  A process pool's workers see the patch because
+    they are forked from the patched test process.
+    """
+
+    def sample(rows, cols, seed):
+        y = sample_gaussian(rows, cols, seed)
+        if singular(rows, seed):
+            y[:, 1] = y[:, 0]
+        return y
+
+    monkeypatch.setattr(harness, "sample_gaussian", sample)
 
 
 # --- configuration -----------------------------------------------------------
@@ -144,15 +158,26 @@ def test_borel_kind_pools_entries():
     assert report.aggregate["borel"]["mean"] == pytest.approx(np.mean(entries))
 
 
-def test_degenerate_trial_reports_index():
-    from hgc import NumericalError
-
+@pytest.mark.parametrize("workers", [1, 2])
+def test_degenerate_trial_reports_index(monkeypatch, workers):
+    # With workers=2 the trials run in forked pool workers, which inherit
+    # the patch; the worker's DegeneracyError is pickled back to this process.
+    make_singular(monkeypatch, lambda n, seed: seed.path == (1,))
     with pytest.raises(NumericalError) as err:
-        run(
-            ExperimentConfig(kind="row-norms", n=8, alpha=1.0, trials=1, seed=1),
-            sampler=singular_sampler,
-        )
-    assert err.value.trial == 0
+        run(ExperimentConfig(kind="row-norms", n=8, alpha=1.0, trials=3, seed=1,
+                             workers=workers))
+    assert err.value.trial == 1
+    assert str(err.value).startswith("trial 1: column 2 (1-based)")
+
+
+def test_trial_errors_pickle():
+    # A worker's error reaches the parent pickled; the cause pickles with it.
+    degenerate = DegeneracyError(2, 1.5e-12, 4e-8)
+    failed = NumericalError(3, degenerate)
+    copy = pickle.loads(pickle.dumps(failed))
+    assert (type(copy), str(copy), copy.trial) == (NumericalError, str(failed), 3)
+    assert type(copy.cause) is DegeneracyError
+    assert (str(copy.cause), vars(copy.cause)) == (str(degenerate), vars(degenerate))
 
 
 # --- bounds battery -----------------------------------------------------------
@@ -224,16 +249,14 @@ def test_sweep_empty_grid_rejected():
         sweep([])
 
 
-def test_sweep_isolates_failing_cell():
+def test_sweep_isolates_failing_cell(monkeypatch):
     # inject a singular Y into the n=2 cell only; the n=16 cell still runs
+    make_singular(monkeypatch, lambda n, seed: n == 2)
     table = sweep(
         [
             ExperimentConfig(kind="row-norms", n=2, m=2, trials=1, seed=4),
             ExperimentConfig(kind="row-norms", n=16, m=8, trials=1, seed=4),
-        ],
-        sampler=lambda n, seed: (
-            singular_sampler(n, seed) if n == 2 else sample_gaussian(n, n, seed)
-        ),
+        ]
     )
     assert table.cells[0]["error"] is not None
     assert "trial 0" in table.cells[0]["error"]
@@ -309,12 +332,12 @@ _CHECK = {"kind", "n", "trial", "seed", "sup_F", "predicted", "ratio_sup"}
 
 
 def _failing_sweep():
-    return sweep(
-        [ExperimentConfig(kind="row-norms", n=n, m=2, trials=1, seed=4) for n in (2, 16)],
-        sampler=lambda n, seed: (
-            singular_sampler(n, seed) if n == 2 else sample_gaussian(n, n, seed)
-        ),
-    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        make_singular(monkeypatch, lambda n, seed: n == 2)
+        return sweep(
+            [ExperimentConfig(kind="row-norms", n=n, m=2, trials=1, seed=4)
+             for n in (2, 16)]
+        )
 
 
 # name -> (report or sweep table factory, non-empty CSV columns of each row)
