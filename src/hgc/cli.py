@@ -285,7 +285,10 @@ def _summary(report: Report) -> str:
         head += f" m={agg['m']} alpha={agg['alpha']:.4g}"
     if cfg.beta is not None:
         head += f" beta={cfg.beta:g}"
-    head += f" trials={agg['trials']} seed={cfg.seed} coupling={cfg.coupling} |"
+    head += f" trials={agg['trials']} seed={cfg.seed}"
+    if "coupling" in agg:
+        head += f" coupling={agg['coupling']}"
+    head += " |"
     bits = []
     if cfg.kind == "bounds-check":
         worst = max(agg["checks"], key=lambda c: c["ratio"])

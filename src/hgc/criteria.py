@@ -223,7 +223,7 @@ def _small_alpha_regime(seed, run, n, m, trials, window):
     return ok, (
         f"n={n} m={m}: median sup ratio {med:.4f} vs window [{window[0]}, {window[1]}]; "
         f"per-trial {[round(r, 4) for r in ratios]}; the statistic "
-        f"concentrates near 1.29 at n=8192, m=256 (1.26..1.33 over ten seeds)"
+        f"concentrates near 1.29 at n=8192, m=256 (1.27..1.32 over ten seeds)"
     )
 
 

@@ -5,6 +5,11 @@ A :class:`Seed` names one substream of a counter-based generator
 yields the same stream, and distinct paths yield statistically
 independent streams.  Trials, rotations, and other purposes get their
 own path entries, so parallel and serial runs draw identical numbers.
+
+Gaussian matrices are drawn column by column: column j is the j-th run
+of ``rows`` variates of the stream.  It depends only on the stream and
+j, so an n x k draw is bitwise the first k columns of the n x n draw,
+and a statistic that reads k columns samples only those.
 """
 
 from __future__ import annotations
@@ -58,7 +63,13 @@ def sample_gaussian(rows: int, cols: int, seed: Seed) -> np.ndarray:
     Repeated calls with identical arguments return bitwise-identical
     matrices.  Variates come from numpy's ziggurat sampler, which
     realizes the exact N(0, 1) law on the deterministic substream.
+
+    The stream fills the matrix in column-major order, and the result is
+    the Fortran-ordered view of that draw.  Column j therefore does not
+    depend on ``cols``: ``sample_gaussian(rows, k, seed)`` equals
+    ``sample_gaussian(rows, cols, seed)[:, :k]`` bitwise for every
+    k <= cols.
     """
     if rows < 1 or cols < 1:
         raise DimensionError(f"rows and cols must be >= 1, got {rows}x{cols}")
-    return seed.generator().standard_normal((rows, cols))
+    return seed.generator().standard_normal((cols, rows)).T

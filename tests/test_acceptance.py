@@ -9,7 +9,7 @@ criteria that read the same config share one run; the whole module
 takes about 2.5 minutes on two cores.
 
 Known red: criterion 05.  The supremum row-norm ratio at n = 8192,
-m = 256 concentrates near 1.29 (measured 1.26..1.33 over ten
+m = 256 concentrates near 1.29 (measured 1.27..1.32 over ten
 independent seeds), above the stated window edge of 1.25; the
 small-ratio asymptotic has not set in for the supremum at alpha = 1/32.
 The criterion is asserted exactly as stated and fails honestly.

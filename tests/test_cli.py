@@ -201,6 +201,18 @@ def test_bounds_check_violation_exits_2(monkeypatch, tmp_path):
     assert doc["aggregate"]["all_dominated"] is False
 
 
+def test_bounds_check_names_no_coupling(monkeypatch, tmp_path):
+    # The battery couples nothing; the config block still round-trips.
+    monkeypatch.setattr(harness, "_bounds_battery", _two_checks)
+    out = tmp_path / "bounds.json"
+    _, stdout, _ = invoke(["bounds", "--check", "--out", str(out), "--format", "json"])
+    assert stdout.startswith("bounds-check: n=1 trials=2 seed=0 | ")
+    assert "coupling" not in stdout
+    doc = json.loads(out.read_text())
+    assert "coupling" not in doc["aggregate"]
+    assert [row["coupling"] for row in doc["rows"]] == [None, None]
+
+
 def test_numerical_error_exit_2(monkeypatch):
     def boom(config):
         raise NumericalError(0, ArithmeticError("singular"))

@@ -120,6 +120,29 @@ def test_parallel_matches_serial():
     assert render_csv(serial) == render_csv(parallel)
 
 
+@pytest.mark.parametrize(
+    "kind, size, shape",
+    [
+        ("row-norms", dict(alpha=0.25), (64, 16)),
+        ("gh-split", dict(m=5), (64, 5)),
+        ("epsilon", dict(beta=1.0), (64, 15)),
+        ("coupling-compare", dict(beta=1.0), (64, 15)),
+        ("row-norms", dict(alpha=1.0), (64, 64)),
+        ("borel", {}, (64, 1)),
+    ],
+)
+def test_each_trial_draws_only_the_block_it_reads(monkeypatch, kind, size, shape):
+    drawn = []
+
+    def sample(rows, cols, seed):
+        drawn.append((rows, cols, seed))
+        return sample_gaussian(rows, cols, seed)
+
+    monkeypatch.setattr(harness, "sample_gaussian", sample)
+    run(ExperimentConfig(kind=kind, n=64, trials=2, seed=3, **size))
+    assert drawn == [(*shape, Seed(3, (0,))), (*shape, Seed(3, (1,)))]
+
+
 def test_trial_seeds_follow_root_and_index():
     report = run(ExperimentConfig(kind="row-norms", n=16, alpha=1.0, trials=3, seed=21))
     assert [str(r.seed) for r in report.results] == ["21:0", "21:1", "21:2"]
@@ -129,7 +152,7 @@ def test_compare_pairs_from_same_matrices():
     cfg = ExperimentConfig(kind="coupling-compare", n=32, m=10, trials=2, seed=13)
     report = run(cfg)
     # recompute trial 0 by hand from the same substreams
-    pair = gram_schmidt_couple(sample_gaussian(32, 32, Seed(13, (0,)))[:, :10])
+    pair = gram_schmidt_couple(sample_gaussian(32, 10, Seed(13, (0,))))
     rot = randomized_couple(pair, 10, Seed(13, (0, 1)))
     plain, rotated = report.results[0].rows
     assert plain["coupling"] == "plain-gs"

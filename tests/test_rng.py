@@ -10,6 +10,14 @@ def test_same_seed_same_matrix():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("rows, cols, ks", [(512, 512, (1, 40, 512)), (300, 20, (1, 7, 20))])
+def test_narrow_draw_is_a_prefix_of_the_wide_one(rows, cols, ks):
+    seed = Seed(5, (2,))
+    wide = sample_gaussian(rows, cols, seed)
+    for k in ks:
+        assert np.array_equal(sample_gaussian(rows, k, seed), wide[:, :k])
+
+
 def test_different_path_differs():
     a = sample_gaussian(2, 2, Seed(42, (0,)))
     b = sample_gaussian(2, 2, Seed(42, (1,)))
