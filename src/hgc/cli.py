@@ -183,6 +183,10 @@ def _run_and_report(config: ExperimentConfig) -> Report:
 
 
 def _cmd_couple(ns) -> int:
+    if ns.n < 1:
+        raise ConfigError(f"n must be >= 1, got {ns.n}")
+    if not 0 <= ns.seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {ns.seed}")
     pair = gram_schmidt_couple(sample_gaussian(ns.n, ns.n, Seed(ns.seed, (0,))))
     orth = float(np.abs(pair.u.T @ pair.u - np.eye(ns.n)).max())
     recon = pair.y - pair.u @ np.triu(pair.trace)

@@ -6,8 +6,8 @@ m = floor(alpha n), or ``beta`` with m = floor(beta n / ln n)), a trial
 count, and a root seed.  :func:`run` executes the trials on derived
 substreams -- trial t samples from ``(seed, [t])`` and its optional
 block rotation from ``(seed, [t, 1])`` -- through one ordered map, in
-this process or in a pool of ``workers`` processes, so serial and
-parallel runs produce identical results, and :func:`emit` writes a
+this process or in a pool of at most ``workers`` processes, so serial
+and parallel runs produce identical results, and :func:`emit` writes a
 report as CSV, JSON, or SVG with byte-identical output for identical
 configs.  Every trial draws its Gaussian Y through the module global
 ``sample_gaussian``.
@@ -49,6 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -197,22 +198,22 @@ def run(config: ExperimentConfig) -> Report:
     """Execute all trials of a config and aggregate them.
 
     Trials run in one ordered map over the trial indices: the builtin
-    ``map`` when ``config.workers == 1``, a process pool's otherwise,
-    which submits every trial up front.  Results are folded in trial
-    order, so the output does not depend on the worker count.  A
-    degenerate trial, or a worker that dies and breaks the pool, is
-    reported as a :class:`NumericalError` naming the first trial without
-    a result.
+    ``map`` when ``min(config.workers, config.trials) == 1``, otherwise a
+    pool of that many processes, each handed one contiguous chunk of
+    trials.  Results are folded in trial order, so the output does not
+    depend on the worker count.  A degenerate trial is reported as a
+    :class:`NumericalError` naming that trial; a worker that dies and
+    breaks the pool, as one naming the first trial without a result.
     """
     if config.kind == "bounds-check":
         results = _bounds_battery(config)
     else:
         results = []
-        with _trial_map(config.workers) as trial_map:
+        with _trial_map(config.workers, config.trials) as trial_map:
             try:
                 for result in trial_map(_trial_task, repeat(config), range(config.trials)):
                     results.append(result)
-            except (DegeneracyError, BrokenProcessPool) as exc:
+            except BrokenProcessPool as exc:
                 raise NumericalError(len(results), exc) from exc
     return Report(config=config, results=results, aggregate=_aggregate(config, results))
 
@@ -266,17 +267,39 @@ def emit(report, format: str, path: str) -> None:
 
 
 @contextmanager
-def _trial_map(workers: int):
-    """An ordered ``map``: the builtin for one worker, else a process pool's."""
+def _trial_map(workers: int, trials: int):
+    """An ordered ``map`` over ``trials`` trials on at most ``workers`` processes.
+
+    With ``min(workers, trials) == 1`` it is the builtin, and nothing is
+    forked.  Otherwise it is the ``map`` of a pool of that many
+    processes with one contiguous chunk of ``ceil(trials / workers)``
+    trials per task: trials of one config cost the same, so each
+    worker's share is known up front, and a task pays its pickle and
+    queue round trip once, not once per trial.
+    """
+    workers = min(workers, trials)
     if workers == 1:
         yield map
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
+            yield partial(pool.map, chunksize=math.ceil(trials / workers))
 
 
 def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:
-    """One trial on substream (seed, [t]); module-level so workers can pickle it."""
+    """One trial on substream (seed, [t]); module-level so workers can pickle it.
+
+    A degenerate coupling or rotation is raised as a
+    :class:`NumericalError` naming trial ``t``: a pool returns a chunk's
+    results only when the whole chunk succeeds, so the trial that failed
+    must be named where it fails.
+    """
+    try:
+        return _trial(config, t)
+    except DegeneracyError as exc:
+        raise NumericalError(t, exc) from exc
+
+
+def _trial(config: ExperimentConfig, t: int) -> TrialResult:
     n = config.n
     m = config.resolved_m()
     trial_seed = Seed(config.seed, (t,))

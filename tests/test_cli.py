@@ -83,6 +83,20 @@ def test_couple_diagnostics():
     assert "orthogonality" in stdout
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "0"], "error: n must be >= 1, got 0"),
+        (["--n", "4", "--seed", "-1"],
+         "error: seed must be a 64-bit unsigned integer, got -1"),
+    ],
+)
+def test_couple_bad_input_exits_1(argv, message):
+    code, _, err = invoke(["couple", *argv])
+    assert code == 1
+    assert err == message + "\n"
+
+
 def test_epsilon_summary_mentions_envelope(tmp_path):
     out = tmp_path / "eps.json"
     code, stdout, _ = invoke(

@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import os
 import pickle
+import time
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import hgc.coupling as coupling
 import hgc.harness as harness
 from hgc import (
     ConfigError,
@@ -35,12 +40,13 @@ from hgc.harness import (
 )
 
 
-def make_singular(monkeypatch, singular):
-    """Make the Y of every trial for which ``singular(n, seed)`` holds degenerate.
+def make_singular(monkeypatch, singular, module=harness):
+    """Make every Gaussian draw for which ``singular(n, seed)`` holds degenerate.
 
-    Patches ``harness.sample_gaussian`` so that column 2 of such a Y
-    repeats column 1.  A process pool's workers see the patch because
-    they are forked from the patched test process.
+    Patches ``module.sample_gaussian`` (the harness's trial draws by
+    default, ``coupling`` for the rotation V_m) so that column 2 of such
+    a draw repeats column 1.  A process pool's workers see the patch
+    because they are forked from the patched test process.
     """
 
     def sample(rows, cols, seed):
@@ -49,7 +55,7 @@ def make_singular(monkeypatch, singular):
             y[:, 1] = y[:, 0]
         return y
 
-    monkeypatch.setattr(harness, "sample_gaussian", sample)
+    monkeypatch.setattr(module, "sample_gaussian", sample)
 
 
 # --- configuration -----------------------------------------------------------
@@ -118,6 +124,45 @@ def test_parallel_matches_serial():
         ExperimentConfig(kind="gh-split", n=64, alpha=0.5, trials=4, seed=9, workers=2)
     )
     assert render_csv(serial) == render_csv(parallel)
+
+
+_REAL_TRIAL_TASK = harness._trial_task
+
+
+def _trial_with_pid(config, t):
+    # Runs in a forked pool worker, which inherits the patched module.
+    # The pause keeps a worker from finishing its chunk before the other
+    # worker has taken the next one.
+    time.sleep(0.1)
+    result = _REAL_TRIAL_TASK(config, t)
+    return replace(result, rows=tuple({**row, "pid": os.getpid()} for row in result.rows))
+
+
+def test_each_worker_runs_one_contiguous_chunk(monkeypatch):
+    monkeypatch.setattr(harness, "_trial_task", _trial_with_pid)
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+
+    def pids(workers, trials):
+        report = run(ExperimentConfig(kind="row-norms", n=8, m=2, trials=trials,
+                                      workers=workers))
+        return [r.rows[0]["pid"] for r in report.results]
+
+    chunked = pids(2, 6)
+    assert pools == [2]
+    assert len(set(chunked[:3])) == len(set(chunked[3:])) == 1
+    assert len(set(chunked)) == 2 and os.getpid() not in chunked
+
+    # No more processes than trials, and none for a single trial.
+    assert os.getpid() not in pids(8, 2)
+    assert pools == [2, 2]
+    assert pids(4, 1) == [os.getpid()]
+    assert pools == [2, 2]
 
 
 @pytest.mark.parametrize(
@@ -191,6 +236,19 @@ def test_degenerate_trial_reports_index(monkeypatch, workers):
                              workers=workers))
     assert err.value.trial == 1
     assert str(err.value).startswith("trial 1: column 2 (1-based)")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_degenerate_rotation_reports_its_trial(monkeypatch, workers):
+    # On two workers trial 3 is the second trial of the chunk (2, 3), so
+    # counting the results that came back would name trial 2: the trial
+    # must name itself, rotation included.
+    make_singular(monkeypatch, lambda n, seed: seed.path == (3, 1), module=coupling)
+    with pytest.raises(NumericalError) as err:
+        run(ExperimentConfig(kind="epsilon", n=16, beta=1.0, trials=4, seed=1,
+                             coupling="randomized", workers=workers))
+    assert err.value.trial == 3
+    assert str(err.value).startswith("trial 3: column 2 (1-based)")
 
 
 def test_trial_errors_pickle():
