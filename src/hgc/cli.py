@@ -159,6 +159,7 @@ def _dispatch(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     if ns.command == "bounds":
         return _cmd_bounds(ns)
     if ns.command == "selftest":
+        _check_seed(ns.seed)
         return 0 if run_selftest(seed=ns.seed) else 2
     _run_and_report(_experiment(ns, _KIND_OF_COMMAND[ns.command], ns.n, out=ns.out,
                                 format=ns.format))
@@ -182,11 +183,16 @@ def _run_and_report(config: ExperimentConfig) -> Report:
     return report
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a root seed that ``rng.Seed`` would refuse, before any work runs."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _cmd_couple(ns) -> int:
     if ns.n < 1:
         raise ConfigError(f"n must be >= 1, got {ns.n}")
-    if not 0 <= ns.seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {ns.seed}")
+    _check_seed(ns.seed)
     pair = gram_schmidt_couple(sample_gaussian(ns.n, ns.n, Seed(ns.seed, (0,))))
     orth = float(np.abs(pair.u.T @ pair.u - np.eye(ns.n)).max())
     recon = pair.y - pair.u @ np.triu(pair.trace)
@@ -340,3 +346,7 @@ def _summary(report: Report) -> str:
                 f"improved in {randomized_wins(report)}/{agg['trials']} trials"
             )
     return head + " " + "; ".join(bits) + "."
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -2,13 +2,26 @@
 
 Orthonormalizing the columns of a square Gaussian matrix Y yields a
 Haar-distributed orthogonal matrix U on the same probability space.
-The orthonormalization is LAPACK's Householder QR with the diagonal of
-R made positive, which is the same map as columnwise Gram-Schmidt
-(Stewart 1980, SIAM J. Numer. Anal. 17(3); Mezzadri 2007, Notices AMS
-54(5)).  Gram-Schmidt is sequential: column j of U depends only on
-y_1..y_j.  So every statistic of the first m coordinates of
-Y - sqrt(n) U needs only the n x m block of Y, and the coupling accepts
-that block on its own.
+The orthonormalization is the map Y = U R with diag R > 0, which is
+columnwise Gram-Schmidt (Stewart 1980, SIAM J. Numer. Anal. 17(3);
+Mezzadri 2007, Notices AMS 54(5)).  Gram-Schmidt is sequential: column
+j of U depends only on y_1..y_j.  So every statistic of the first m
+coordinates of Y - sqrt(n) U needs only the n x m block of Y, and the
+coupling accepts that block on its own.
+
+Two paths compute the map, chosen by the shape alone.  A tall block,
+4 k <= n, takes CholeskyQR2: R_1 = chol(Y^T Y), Q_1 = Y R_1^{-1}, then
+R_2 = chol(Q_1^T Q_1), U = Q_1 R_2^{-1} and R = R_2 R_1, all SYRK and
+GEMM (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014; Yamamoto
+et al., ETNA 44, 2015).  A Gaussian block that tall has condition
+number at most about 3 (Edelman 1988), far inside the range where
+CholeskyQR2 is orthogonal to machine precision.  Square and wider
+blocks take LAPACK's Householder QR with the signs fixed so that
+diag R > 0; so does a tall block whose Cholesky pass fails, whose
+first pass leaves max|Q_1^T Q_1 - I| above 1e-6, or whose diag R
+reaches the degeneracy threshold.  Only the Householder path names a
+degenerate column: near a dependent column Cholesky's r_j is accurate
+only to about sqrt(eps), the threshold's own scale.
 
 The pair keeps its coupling trace: for each column j (1-based) the
 projection coefficients onto the preceding orthonormal columns and the
@@ -81,10 +94,17 @@ class RotatedPair:
 def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     """Columnwise Gram-Schmidt orthonormalization with coupling trace.
 
-    Computed as Householder QR (LAPACK) with the signs of the columns of
-    Q and the rows of R flipped so that diag(R) > 0.  That makes nu_j
-    point along the residual of y_j, hence <y_j, nu_j> = r_j > 0, as in
-    the classical procedure.
+    A tall block (``4 k <= n``) is orthonormalized by CholeskyQR2, whose
+    R has a positive diagonal by construction; it falls back to the
+    Householder path when its first pass is too far from orthogonal
+    (max|Q_1^T Q_1 - I| > 1e-6, cond(Y) beyond about 1e4), when a
+    Cholesky factorization fails, or when some r_j reaches the
+    degeneracy threshold.  Every other block is Householder QR (LAPACK)
+    with the signs of the columns of Q and the rows of R flipped so that
+    diag(R) > 0.  Either way nu_j points along the residual of y_j,
+    hence <y_j, nu_j> = r_j > 0, as in the classical procedure.  The
+    CholeskyQR2 path returns ``u`` Fortran-ordered, like a sampled
+    ``y``; the Householder path returns it C-ordered.
 
     Parameters
     ----------
@@ -104,9 +124,17 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
         raise DimensionError(f"expected n x k with 1 <= k <= n, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise DimensionError("matrix entries must be finite")
-    n = y.shape[0]
+    n, k = y.shape
     threshold = DEGENERACY_FACTOR * math.sqrt(n)
 
+    factors = _cholesky_qr2(y, threshold) if 4 * k <= n else None
+    u, trace = factors if factors is not None else _householder_qr(y, threshold)
+    residual_norms = np.diag(trace).copy()
+    return CoupledPair(y=y, u=u, residual_norms=residual_norms, trace=trace, n=n)
+
+
+def _householder_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R of ``y`` with diag R > 0, or DegeneracyError naming a column."""
     u, trace = np.linalg.qr(y)
     residual_norms = np.abs(np.diag(trace))
     failed = np.flatnonzero(~(residual_norms > threshold))
@@ -116,7 +144,30 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     signs = np.sign(np.diag(trace))
     u *= signs
     trace *= signs[:, None]
-    return CoupledPair(y=y, u=u, residual_norms=residual_norms, trace=trace, n=n)
+    return u, trace
+
+
+def _cholesky_qr2(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """CholeskyQR2 factors of a tall ``y``, or None if the Householder path must decide.
+
+    Each pass forms ``(L^{-1} @ x.T).T`` with ``L`` the Cholesky factor
+    of ``x^T x``, which is ``x R^{-1}`` computed so that the result
+    comes out Fortran-ordered like ``y``.
+    """
+    try:
+        l1 = np.linalg.cholesky(y.T @ y)
+        q1 = (np.linalg.inv(l1) @ y.T).T
+        gram = q1.T @ q1
+        # NaN fails this test too, so a broken first pass falls back.
+        if not np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-6:
+            return None
+        l2 = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    trace = l2.T @ l1.T
+    if not (np.diag(trace) > threshold).all():
+        return None
+    return (np.linalg.inv(l2) @ q1.T).T, trace
 
 
 def haar_orthogonal(k: int, seed: Seed) -> np.ndarray:

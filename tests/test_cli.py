@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -330,3 +332,28 @@ def test_selftest_passes():
     lines = [l for l in stdout.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == sum(c.reduced is not None for c in CRITERIA)
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_selftest_bad_seed_exits_1():
+    code, _, err = invoke(["selftest", "--seed", "-1"])
+    assert code == 1
+    assert err == "error: seed must be a 64-bit unsigned integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "module, argv, code, stream, text",
+    [
+        ("hgc", ["--help"], 0, "stdout", "usage: hgc"),
+        ("hgc.cli", ["selftest", "--seed", "-1"], 1, "stderr",
+         "error: seed must be a 64-bit unsigned integer, got -1\n"),
+    ],
+)
+def test_python_dash_m_runs_the_cli(module, argv, code, stream, text):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
+    assert "Traceback" not in proc.stderr

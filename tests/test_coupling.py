@@ -190,3 +190,67 @@ def test_randomized_range_checks():
         randomized_couple(pair, 7, Seed(0))
     with pytest.raises(DimensionError):
         randomized_couple(pair, 3, Seed(0), v_m=np.eye(4))
+
+
+def householder(y):
+    # LAPACK QR with the Gram-Schmidt sign convention, diag R > 0
+    q, r = np.linalg.qr(y)
+    signs = np.sign(np.diag(r))
+    return q * signs, r * signs[:, None]
+
+
+@pytest.mark.parametrize("n, k", [(64, 1), (64, 16), (512, 128), (1000, 250), (2048, 268)])
+def test_tall_block_matches_householder(n, k):
+    y = sample_gaussian(n, k, Seed(21, (n, k)))
+    pair = gram_schmidt_couple(y)
+    u, trace = householder(y)
+    assert np.abs(pair.u - u).max() <= 1e-13
+    assert np.abs(pair.trace - trace).max() <= 1e-13
+    assert pair.u.flags.f_contiguous
+    assert np.array_equal(pair.residual_norms, np.diag(pair.trace))
+    assert np.all(pair.residual_norms > 0)
+    assert not np.tril(pair.trace, -1).any()
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (64, 64), (64, 17), (40, 13), (300, 76)])
+def test_square_and_wide_blocks_are_householder_bitwise(n, k):
+    y = sample_gaussian(n, k, Seed(22, (n, k)))
+    pair = gram_schmidt_couple(y)
+    u, trace = householder(y)
+    assert np.array_equal(pair.u, u)
+    assert np.array_equal(pair.trace, trace)
+
+
+def test_repeated_column_in_tall_block_named():
+    y = sample_gaussian(400, 50, Seed(23, (0,)))
+    y[:, 29] = y[:, 11]
+    with pytest.raises(DegeneracyError) as err:
+        gram_schmidt_couple(y)
+    assert err.value.column == 30
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e9])
+def test_ill_conditioned_tall_block_falls_back_to_householder(cond):
+    # singular values from 1e4 down to 1e4 / cond behind a Haar rotation
+    # of the columns, every r_j far above 1e-8 sqrt(n).  At 1e6 Cholesky
+    # succeeds and only the check on Q_1^T Q_1 sends the block back; at
+    # 1e9 the Gram matrix is past what Cholesky can factor.
+    n, k = 400, 50
+    q, _ = np.linalg.qr(sample_gaussian(n, k, Seed(24, (0,))))
+    s = np.logspace(4, 4 - math.log10(cond), k)
+    y = np.asfortranarray((q * s) @ haar_orthogonal(k, Seed(24, (1,))).T)
+    assert np.linalg.cond(y) == pytest.approx(cond, rel=0.01)
+    pair = gram_schmidt_couple(y)
+    assert pair.residual_norms.min() > 100 * 1e-8 * math.sqrt(n)
+    u, trace = householder(y)
+    assert np.array_equal(pair.u, u)
+    assert np.array_equal(pair.trace, trace)
+    assert np.abs(pair.u.T @ pair.u - np.eye(k)).max() <= 1e-12
+
+
+def test_column_scaling_keeps_tall_block_on_cholesky_path():
+    # Cholesky is invariant to column scaling, so a block made
+    # ill-conditioned only that way needs no fallback
+    y = sample_gaussian(400, 50, Seed(25, (0,)))
+    scaled = gram_schmidt_couple(y * np.logspace(0, 9, 50))
+    assert np.abs(scaled.u - gram_schmidt_couple(y).u).max() <= 1e-13
