@@ -28,7 +28,7 @@ import numpy as np
 from . import harness
 from .coupling import gram_schmidt_couple
 from .harness import ExperimentConfig, Report, render_csv
-from .measure import gh_matrices
+from .measure import _residual_block, gh_matrices
 from .rng import Seed, sample_gaussian
 from .theory import (
     beta_interval,
@@ -93,13 +93,19 @@ def run_selftest(seed: int = 0, log=print) -> bool:
 
 
 def _exact_identities(seed, run, instances, tag):
-    """F = G + H, U^T U = I, <G_j, H_j> = 0 and row/column Frobenius sums."""
-    worst_fg = worst_orth = worst_cross = worst_frob = 0.0
+    """Y = U R, U^T U = I, <G_j, H_j> = 0 and row/column Frobenius sums.
+
+    G is F - H, so F = G + H holds by construction.  Its content is Y = U R
+    on the first m columns, which is checked here on all n columns.
+    <G_j, H_j> is (r_j - sqrt(n)) (<y_j, nu_j> - r_j), so that check reads
+    <y_j, nu_j> = r_j.
+    """
+    worst_yur = worst_orth = worst_cross = worst_frob = 0.0
     for i, (n, m) in enumerate(instances):
         pair = gram_schmidt_couple(sample_gaussian(n, n, Seed(seed, (tag, i))))
         g, h = gh_matrices(pair, m)
-        f = pair.y[:, :m] - math.sqrt(n) * pair.u[:, :m]
-        worst_fg = max(worst_fg, float(np.abs(f - g - h).max()))
+        f = _residual_block(pair.y, pair.u, m)
+        worst_yur = max(worst_yur, float(np.abs(pair.y - pair.u @ pair.trace).max()))
         worst_orth = max(
             worst_orth, float(np.abs(pair.u.T @ pair.u - np.eye(n)).max())
         )
@@ -111,13 +117,13 @@ def _exact_identities(seed, run, instances, tag):
         col_sq = float((np.linalg.norm(f, axis=0) ** 2).sum())
         worst_frob = max(worst_frob, abs(row_sq - col_sq) / row_sq)
     ok = (
-        worst_fg <= 1e-10
+        worst_yur <= 1e-10
         and worst_orth <= 1e-12
         and worst_cross <= 1e-9
         and worst_frob <= 1e-9
     )
     return ok, (
-        f"{len(instances)} instances, max |F-(G+H)|={worst_fg:.2e}, "
+        f"{len(instances)} instances, max |Y-UR|={worst_yur:.2e}, "
         f"|U^T U - I|={worst_orth:.2e}, column cross/sqrt(n)={worst_cross:.2e}, "
         f"Frobenius rel={worst_frob:.2e}"
     )

@@ -719,6 +719,11 @@ def render_svg(report) -> str:
     return "\n".join(parts) + "\n"
 
 
+# The JSON values each type named in a config field's annotation accepts.
+# true and false are never numbers, though Python's bool is an int.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
 def config_from_json(source) -> ExperimentConfig:
     """Build a config from the JSON schema (text, file object, or dict)."""
     if hasattr(source, "read"):
@@ -738,9 +743,10 @@ def config_from_json(source) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "kind" not in data or "n" not in data:
         raise ConfigError("JSON config requires 'kind' and 'n'")
-    kwargs = dict(data)
-    kwargs.setdefault("trials", default_trials(data["kind"]))
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for f in fields(ExperimentConfig):
+        value = data.get(f.name)
+        # f.type is the annotation's text, such as "int | None".
+        accepted = tuple(_JSON_TYPES[name] for name in f.type.split(" | "))
+        if f.name in data and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+    return ExperimentConfig(**{"trials": default_trials(data["kind"]), **data})

@@ -5,6 +5,12 @@ truncated row norms of Y - sqrt(n) U, the split of each truncated row
 F_i into its projection part G_i and residual-rescaling part H_i, the
 supremum statistic eps_n(m) over the n x m block, and the distribution
 diagnostics (Kolmogorov-Smirnov distance, order statistics).
+
+Every statistic of the pair reads one n x m block, F = the first m
+columns of Y - sqrt(n) U, formed in one place.  Column j of H is
+(r_j - sqrt(n)) nu_j, and G = F - H; since Y = U R, that equals
+U striu(R), the projection of each y_j onto the earlier columns, up to
+rounding.
 """
 
 from __future__ import annotations
@@ -38,33 +44,30 @@ class RowBlockDecomposition:
 
 def truncated_row_norms(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
     """Euclidean norms of the first m coordinates of each row of Y - sqrt(n) U."""
-    n = _check_block(y, u, m)
-    diff = y[:, :m] - math.sqrt(n) * u[:, :m]
-    return np.linalg.norm(diff, axis=1)
+    return np.linalg.norm(_residual_block(y, u, m), axis=1)
 
 
 def gh_matrices(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The n x m matrices G and H of the projection/residual split.
 
-    Column j of G is the projection of y_j onto the span of the earlier
-    columns, rebuilt from the stored coupling trace (so F = G + H is an
-    algebraic identity up to rounding, independent of projector
-    accuracy); column j of H is (r_j - sqrt(n)) nu_j.  ``m`` may not
-    exceed the number of columns the pair holds.
+    Column j of H is (r_j - sqrt(n)) nu_j, and G = F - H.  Column j of G
+    is then y_j - r_j nu_j, the projection of y_j onto the span of the
+    earlier columns: U striu(R) up to rounding.  ``m`` may not exceed
+    the number of columns the pair holds.
     """
-    k = pair.u.shape[1]
-    if not 1 <= m <= k:
-        raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
-    coeffs = np.triu(pair.trace[:m, :m], k=1)
-    g = pair.u[:, :m] @ coeffs
-    h = (pair.residual_norms[:m] - math.sqrt(pair.n)) * pair.u[:, :m]
-    return g, h
+    f, h = _residual_split(pair, m)
+    return np.subtract(f, h, out=f), h
 
 
 def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
-    """Row-wise norms and cross terms of the F = G + H split."""
-    g, h = gh_matrices(pair, m)
-    f_norms = truncated_row_norms(pair.y, pair.u, m)
+    """Row-wise norms and cross terms of the F = G + H split.
+
+    F is formed once: its row norms are read, then H is subtracted in
+    place to give G = F - H.
+    """
+    f, h = _residual_split(pair, m)
+    f_norms = np.linalg.norm(f, axis=1)
+    g = np.subtract(f, h, out=f)
     return RowBlockDecomposition(
         f_norms=f_norms,
         g_norms=np.linalg.norm(g, axis=1),
@@ -75,9 +78,8 @@ def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
 
 def epsilon_sup(y: np.ndarray, u: np.ndarray, m: int) -> float:
     """eps_n(m): the max-absolute entry of the n x m block of Y - sqrt(n) U."""
-    n = _check_block(y, u, m)
-    diff = y[:, :m] - math.sqrt(n) * u[:, :m]
-    return float(np.abs(diff).max())
+    f = _residual_block(y, u, m)
+    return float(np.abs(f, out=f).max())
 
 
 def ks_statistic(samples) -> float:
@@ -118,6 +120,24 @@ def summarize(values) -> dict:
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _residual_block(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
+    """F, the first m columns of Y - sqrt(n) U, as one new array in u's layout.
+
+    ``(-sqrt(n) u) + y`` is bitwise ``y - sqrt(n) u``, since negation is
+    exact; it needs no second n x m temporary.
+    """
+    n = _check_block(y, u, m)
+    f = np.multiply(u[:, :m], -math.sqrt(n), order="K")
+    f += y[:, :m]
+    return f
+
+
+def _residual_split(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """F and H of the pair's first m columns, both in u's layout."""
+    f = _residual_block(pair.y, pair.u, m)
+    return f, (pair.residual_norms[:m] - math.sqrt(pair.n)) * pair.u[:, :m]
 
 
 def _check_block(y: np.ndarray, u: np.ndarray, m: int) -> int:

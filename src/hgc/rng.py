@@ -42,10 +42,6 @@ class Seed:
             raise ValueError(f"path entries must be non-negative, got {path}")
         object.__setattr__(self, "path", path)
 
-    def child(self, *indices: int) -> Seed:
-        """Substream seed at ``path + indices``."""
-        return Seed(self.root, self.path + indices)
-
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this substream."""
         ss = np.random.SeedSequence(self.root, spawn_key=self.path)

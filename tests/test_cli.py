@@ -184,6 +184,29 @@ def test_config_file_runs(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ('{"kind": "row-norms", "n": 16, "m": 2.5}', "m"),
+        ('{"kind": "row-norms", "n": 16, "m": 2, "trials": 2.0}', "trials"),
+        ('{"kind": "row-norms", "n": 16, "m": 2, "seed": 1.5}', "seed"),
+        ('{"kind": "row-norms", "n": true, "m": 2}', "n"),
+        ('{"kind": "row-norms", "n": "abc", "m": 2}', "n"),
+        ('{"kind": "row-norms", "n": 16, "alpha": true}', "alpha"),
+        ('{"kind": 3, "n": 16, "m": 2}', "kind"),
+        ('{"kind": "row-norms", "n": 16, "m": 2, "out": 5}', "out"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_1(tmp_path, doc, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(doc)
+    code, _, err = invoke(["--config", str(cfg)])
+    assert code == 1
+    assert err.startswith(f"error: config key {key!r} must be ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_io_error_exit_3(tmp_path):
     code, _, err = invoke(
         ["rownorms", "--n", "16", "--alpha", "1.0", "--trials", "1",

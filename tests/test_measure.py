@@ -69,17 +69,19 @@ def test_row_norms_validation():
 
 
 def test_gh_first_column_of_g_is_zero():
+    # G_1 = y_1 - r_1 nu_1 is zero up to rounding (at most 4.6e-15 up to n = 2048)
     pair = random_pair(16)
     g, _ = gh_matrices(pair, 8)
-    assert np.abs(g[:, 0]).max() == 0.0
+    assert np.abs(g[:, 0]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n,m", [(64, 40), (1024, 512)])
+@pytest.mark.parametrize("n,m", [(64, 40), (1024, 512), (2048, 2048)])
 def test_gh_entrywise_identity(n, m):
+    # G = F - H against its definition from the coupling trace, U striu(R)
     pair = random_pair(n)
-    g, h = gh_matrices(pair, m)
-    f = pair.y[:, :m] - math.sqrt(n) * pair.u[:, :m]
-    assert np.abs(f - g - h).max() <= 1e-10
+    g, _ = gh_matrices(pair, m)
+    reference = pair.u[:, :m] @ np.triu(pair.trace[:m, :m], 1)
+    assert np.abs(g - reference).max() <= 1e-10
 
 
 def test_gh_hand_case_columns():

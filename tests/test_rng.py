@@ -36,14 +36,6 @@ def test_moments_of_large_sample():
     assert abs(x.var() - 1.0) < 0.01
 
 
-def test_child_is_pure_derivation():
-    base = Seed(9, (3,))
-    assert base.child(5) == Seed(9, (3, 5))
-    a = base.child(5).generator().standard_normal(4)
-    b = Seed(9, (3, 5)).generator().standard_normal(4)
-    assert np.array_equal(a, b)
-
-
 def test_substreams_look_independent():
     # crude independence probe: negligible correlation between streams
     # and no shared prefix
