@@ -77,6 +77,7 @@ def run_selftest(seed: int = 0, log=print) -> bool:
     Reports are cached for the length of the call, so criteria that read
     the same config share one run.
     """
+    Seed(seed)  # a bad root seed fails here, before the first criterion runs
     cached_run = functools.lru_cache(maxsize=None)(harness.run)
     all_ok = True
     for criterion in CRITERIA:

@@ -4,13 +4,13 @@ An :class:`ExperimentConfig` names a statistic (``kind``), a matrix
 dimension, a truncation size (exactly one of ``m``, ``alpha`` with
 m = floor(alpha n), or ``beta`` with m = floor(beta n / ln n)), a trial
 count, and a root seed.  :func:`run` executes the trials on derived
-substreams -- trial t samples from ``(seed, [t])`` and its optional
-block rotation from ``(seed, [t, 1])`` -- through one ordered map, in
-this process or in a pool of at most ``workers`` processes, so serial
-and parallel runs produce identical results, and :func:`emit` writes a
-report as CSV, JSON, or SVG with byte-identical output for identical
-configs.  Every trial draws its Gaussian Y through the module global
-``sample_gaussian``.
+substreams -- trial t samples from ``(seed, [t])`` and the block
+rotation that a randomized eps reads from ``(seed, [t, 1])`` -- through
+one ordered map, in this process or in a pool of at most ``workers``
+processes, so serial and parallel runs produce identical results, and
+:func:`emit` writes a report as CSV, JSON, or SVG with byte-identical
+output for identical configs.  Every trial draws its Gaussian Y
+through the module global ``sample_gaussian``.
 
 Each trial builds its own CSV rows (:class:`TrialResult`), keyed by the
 column names of ``CSV_HEADER``; the report fills in only the columns
@@ -55,7 +55,7 @@ from itertools import repeat
 import numpy as np
 
 from . import theory
-from .coupling import gram_schmidt_couple, randomized_couple
+from .coupling import CoupledPair, gram_schmidt_couple, randomized_couple
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -133,8 +133,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        Seed(self.seed)
         given = sum(v is not None for v in (self.m, self.alpha, self.beta))
         if given > 1:
             raise ConfigError("give exactly one of m, alpha, beta")
@@ -154,8 +153,8 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
             m = math.floor(self.alpha * self.n)
         else:
-            if self.beta <= 0:
-                raise ConfigError(f"beta must be positive, got {self.beta}")
+            if not 0.0 < self.beta < math.inf:
+                raise ConfigError(f"beta must be positive and finite, got {self.beta}")
             if self.n < 2:
                 raise ConfigError("beta sizing needs n >= 2")
             m = math.floor(self.beta * self.n / math.log(self.n))
@@ -305,12 +304,14 @@ def _trial(config: ExperimentConfig, t: int) -> TrialResult:
     trial_seed = Seed(config.seed, (t,))
     pair = gram_schmidt_couple(sample_gaussian(n, m, trial_seed))
 
+    # The rotation diag(V_m, I) maps F to F V_m, which keeps every row
+    # norm, every G/H norm and every cross term <G_i, H_i>: of all the
+    # statistics only eps sees it.  So every kind reads its row
+    # statistics off the plain pair, and V_m is drawn only for the eps
+    # of a row of the randomized coupling.
     if config.kind == "borel":
         rows = ({"mean_F": float(math.sqrt(n) * pair.u[0, 0])},)
     elif config.kind == "gh-split":
-        # G/H are defined by the Gram-Schmidt trace, i.e. the plain
-        # coupling, so no rotation is drawn; it would preserve the row
-        # norms anyway.
         deco = decompose_gh(pair, m)
         row = _row_norm_columns(deco.f_norms, n, m)
         row.update(
@@ -319,28 +320,23 @@ def _trial(config: ExperimentConfig, t: int) -> TrialResult:
             max_cross_over_m=float(np.abs(deco.cross).max() / m),
         )
         rows = (row,)
-    elif config.kind == "coupling-compare":
-        plain = _row_norm_columns(truncated_row_norms(pair.y, pair.u, m), n, m)
-        plain.update(
-            coupling=PLAIN_GS,
-            eps=epsilon_sup(pair.y, pair.u, m),
-        )
-        rot = randomized_couple(pair, m, Seed(config.seed, (t, 1)))
-        rotated = {
-            "coupling": RANDOMIZED,
-            "eps": epsilon_sup(rot.y, rot.u, m),
-        }
-        rows = (plain, rotated)
     else:
-        yy, uu = pair.y, pair.u
-        if config.coupling == RANDOMIZED:
-            rot = randomized_couple(pair, m, Seed(config.seed, (t, 1)))
-            yy, uu = rot.y, rot.u
-        row = _row_norm_columns(truncated_row_norms(yy, uu, m), n, m)
-        if config.kind == "epsilon":
-            row["eps"] = epsilon_sup(yy, uu, m)
+        row = _row_norm_columns(truncated_row_norms(pair.y, pair.u, m), n, m)
         rows = (row,)
+        rotation = Seed(config.seed, (t, 1))
+        if config.kind == "epsilon":
+            row["eps"] = _eps(pair, m, config.coupling, rotation)
+        elif config.kind == "coupling-compare":
+            row.update(coupling=PLAIN_GS, eps=_eps(pair, m, PLAIN_GS, rotation))
+            rows = (row, {"coupling": RANDOMIZED, "eps": _eps(pair, m, RANDOMIZED, rotation)})
     return TrialResult(trial=t, seed=trial_seed, rows=rows)
+
+
+def _eps(pair: CoupledPair, m: int, coupling: str, rotation: Seed) -> float:
+    """eps_n(m) of the pair under ``coupling``; V_m is drawn from ``rotation``."""
+    if coupling == RANDOMIZED:
+        pair = randomized_couple(pair, m, rotation)
+    return epsilon_sup(pair.y, pair.u, m)
 
 
 def _row_norm_columns(f_norms: np.ndarray, n: int, m: int) -> dict:

@@ -44,7 +44,7 @@ class RowBlockDecomposition:
 
 def truncated_row_norms(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
     """Euclidean norms of the first m coordinates of each row of Y - sqrt(n) U."""
-    return np.linalg.norm(_residual_block(y, u, m), axis=1)
+    return _row_norms_in_place(_residual_block(y, u, m))
 
 
 def gh_matrices(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,16 +63,18 @@ def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
     """Row-wise norms and cross terms of the F = G + H split.
 
     F is formed once: its row norms are read, then H is subtracted in
-    place to give G = F - H.
+    place to give G = F - H.  The cross terms are read before G and H
+    are squared in place for their norms.
     """
     f, h = _residual_split(pair, m)
     f_norms = np.linalg.norm(f, axis=1)
     g = np.subtract(f, h, out=f)
+    cross = np.einsum("ij,ij->i", g, h)
     return RowBlockDecomposition(
         f_norms=f_norms,
-        g_norms=np.linalg.norm(g, axis=1),
-        h_norms=np.linalg.norm(h, axis=1),
-        cross=np.einsum("ij,ij->i", g, h),
+        g_norms=_row_norms_in_place(g),
+        h_norms=_row_norms_in_place(h),
+        cross=cross,
     )
 
 
@@ -132,6 +134,15 @@ def _residual_block(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
     f = np.multiply(u[:, :m], -math.sqrt(n), order="K")
     f += y[:, :m]
     return f
+
+
+def _row_norms_in_place(a: np.ndarray) -> np.ndarray:
+    """Row norms of ``a``, which is squared in place to hold no temporary.
+
+    The same products summed in the same order as ``np.linalg.norm(a,
+    axis=1)``, so the result is bitwise that of the library call.
+    """
+    return np.sqrt(np.add.reduce(np.multiply(a, a, out=a), axis=1))
 
 
 def _residual_split(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:

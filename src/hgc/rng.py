@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 _MAX_ROOT = 2**64
 
@@ -28,7 +28,9 @@ class Seed:
     """Identifier of a derived random substream.
 
     ``root`` is a 64-bit unsigned integer; ``path`` is an ordered tuple
-    of non-negative integers (trial index, purpose tag, ...).
+    of non-negative integers (trial index, purpose tag, ...).  Either
+    out of range raises :class:`ConfigError`, so a root seed is checked
+    here and nowhere else.
     """
 
     root: int
@@ -36,10 +38,10 @@ class Seed:
 
     def __post_init__(self):
         if not 0 <= self.root < _MAX_ROOT:
-            raise ValueError(f"root must be a 64-bit unsigned integer, got {self.root}")
+            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.root}")
         path = tuple(int(p) for p in self.path)
         if any(p < 0 for p in path):
-            raise ValueError(f"path entries must be non-negative, got {path}")
+            raise ConfigError(f"path entries must be non-negative, got {path}")
         object.__setattr__(self, "path", path)
 
     def generator(self) -> np.random.Generator:

@@ -58,8 +58,8 @@ def gaussian_tail_bounds(t: float) -> tuple[float, float]:
     lower = t e^{-t^2/2} / ((1 + t^2) sqrt(2 pi)) and
     upper = e^{-t^2/2} / (t sqrt(2 pi)); lower <= upper always.
     """
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     core = math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     return t * core / (1.0 + t * t), core / t
 
@@ -176,8 +176,8 @@ def epsilon_envelope(n: int, m: int, slack: float) -> tuple[float, float]:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     _check_sizes(n, m)
-    if slack < 0:
-        raise DomainError(f"slack must be >= 0, got {slack}")
+    if not 0 <= slack < math.inf:
+        raise DomainError(f"slack must be >= 0 and finite, got {slack}")
     root_phi = math.sqrt(phi(m / n))
     lower = (1.0 - slack) * root_phi * math.sqrt(2.0 * math.log(n))
     upper = (1.0 + slack) * root_phi * math.sqrt(2.0 * math.log(n * m))
@@ -186,8 +186,8 @@ def epsilon_envelope(n: int, m: int, slack: float) -> tuple[float, float]:
 
 def beta_interval(beta: float) -> tuple[float, float]:
     """Limit window (sqrt(beta), sqrt(2 beta)) for eps_n(m) at m = [beta n / ln n]."""
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     return math.sqrt(beta), math.sqrt(2.0 * beta)
 
 

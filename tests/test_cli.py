@@ -207,6 +207,32 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, doc, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rownorms", "--n", "8", "--beta", "nan"], "beta must be positive and finite"),
+        (["rownorms", "--n", "8", "--beta", "inf"], "beta must be positive and finite"),
+        (["--config", '{"kind": "epsilon", "n": 64, "beta": NaN}'],
+         "beta must be positive and finite"),
+        (["bounds", "--n", "4", "--m", "2", "--slack", "nan"], "slack must be >= 0 and finite"),
+        (["bounds", "--n", "4", "--m", "2", "--slack", "inf"], "slack must be >= 0 and finite"),
+        (["bounds", "--t", "inf"], "t must be positive and finite"),
+        (["bounds", "--beta", "inf"], "beta must be positive and finite"),
+    ],
+)
+def test_non_finite_argument_exits_1(tmp_path, argv, message):
+    if argv[0] == "--config":
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(argv[1])
+        argv = ["--config", str(cfg)]
+    code, stdout, err = invoke(argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {message}, got ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_io_error_exit_3(tmp_path):
     code, _, err = invoke(
         ["rownorms", "--n", "16", "--alpha", "1.0", "--trials", "1",

@@ -206,6 +206,44 @@ def test_compare_pairs_from_same_matrices():
     assert rotated["eps"] == epsilon_sup(rot.y, rot.u, 10)
 
 
+@pytest.mark.parametrize(
+    "kind, coupling, size, rotations",
+    [
+        ("row-norms", "randomized", dict(alpha=0.25), 0),
+        ("gh-split", "randomized", dict(m=5), 0),
+        ("borel", "randomized", {}, 0),
+        ("epsilon", "plain-gs", dict(beta=1.0), 0),
+        ("epsilon", "randomized", dict(beta=1.0), 3),
+        ("coupling-compare", "plain-gs", dict(beta=1.0), 3),
+    ],
+)
+def test_rotation_drawn_only_for_a_randomized_eps(monkeypatch, kind, coupling, size,
+                                                  rotations):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return randomized_couple(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "randomized_couple", counted)
+    run(ExperimentConfig(kind=kind, n=64, trials=3, seed=5, coupling=coupling, **size))
+    assert len(calls) == rotations
+
+
+@pytest.mark.parametrize("kind", ["row-norms", "epsilon"])
+def test_row_statistics_do_not_depend_on_the_coupling(kind):
+    plain, rotated = (
+        run(ExperimentConfig(kind=kind, n=128, beta=1.0, trials=3, seed=4, coupling=c))
+        for c in ("plain-gs", "randomized")
+    )
+    for a, b in zip(plain.results, rotated.results):
+        (row_a,), (row_b,) = a.rows, b.rows
+        for name in ("sup_F", "inf_F", "mean_F", "predicted", "ratio_sup", "ratio_inf"):
+            assert row_a[name] == row_b[name]
+        if kind == "epsilon":
+            assert row_a["eps"] != row_b["eps"]
+
+
 def test_epsilon_randomized_coupling_field():
     report = run(
         ExperimentConfig(

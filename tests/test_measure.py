@@ -16,6 +16,7 @@ from hgc import (
     summarize,
     truncated_row_norms,
 )
+from hgc.measure import _residual_block
 
 
 def hand_pair():
@@ -115,6 +116,21 @@ def test_decomposition_invariants():
     col_sq = float((np.linalg.norm(f, axis=0) ** 2).sum())
     row_sq = float((deco.f_norms**2).sum())
     assert abs(row_sq - col_sq) <= 1e-9 * row_sq
+
+
+@pytest.mark.parametrize("n, m", [(64, 20), (300, 50), (96, 96)])
+def test_norms_match_library_norm_bitwise(n, m):
+    # The norms square their own temporaries in place; the sums are the
+    # library's, term for term and in the same order.
+    pair = gram_schmidt_couple(sample_gaussian(n, m, Seed(9, (0,))))
+    f = _residual_block(pair.y, pair.u, m)
+    assert np.array_equal(truncated_row_norms(pair.y, pair.u, m), np.linalg.norm(f, axis=1))
+    deco = decompose_gh(pair, m)
+    g, h = gh_matrices(pair, m)
+    assert np.array_equal(deco.f_norms, np.linalg.norm(f, axis=1))
+    assert np.array_equal(deco.g_norms, np.linalg.norm(g, axis=1))
+    assert np.array_equal(deco.h_norms, np.linalg.norm(h, axis=1))
+    assert np.array_equal(deco.cross, np.einsum("ij,ij->i", g, h))
 
 
 def test_decompose_range_check():

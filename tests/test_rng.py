@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hgc import DimensionError, Seed, sample_gaussian
+from hgc import ConfigError, DimensionError, Seed, sample_gaussian
 
 
 def test_same_seed_same_matrix():
@@ -53,11 +53,11 @@ def test_zero_dimension_rejected():
 
 
 def test_seed_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^seed must be a 64-bit unsigned integer, got -1$"):
         Seed(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Seed(2**64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Seed(1, (-2,))
 
 

@@ -128,8 +128,9 @@ def test_gaussian_tail_ordering_and_domain():
     for t in (0.1, 1.0, 3.0, 10.0):
         lower, upper = gaussian_tail_bounds(t)
         assert 0 < lower <= upper
-    with pytest.raises(DomainError):
-        gaussian_tail_bounds(0.0)
+    for t in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gaussian_tail_bounds(t)
 
 
 def test_kolmogorov_pvalue_values():
@@ -202,6 +203,12 @@ def test_epsilon_envelope_beta_one_case():
     assert abs(lower - 1.014) <= 0.01
 
 
+@pytest.mark.parametrize("slack", [-0.1, math.inf, math.nan])
+def test_epsilon_envelope_rejects_bad_slack(slack):
+    with pytest.raises(DomainError):
+        epsilon_envelope(300, 120, slack)
+
+
 def test_epsilon_envelope_slack_linearity():
     base = epsilon_envelope(300, 120, 0.0)
     slacked = epsilon_envelope(300, 120, 0.1)
@@ -225,8 +232,9 @@ def test_beta_interval_values():
     assert (low, high) == pytest.approx((1.0, 1.41421356), abs=1e-8)
     assert beta_interval(4.0) == pytest.approx((2.0, 2.82842712), abs=1e-8)
     assert beta_interval(0.25) == pytest.approx((0.5, 0.70710678), abs=1e-8)
-    with pytest.raises(DomainError):
-        beta_interval(0.0)
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            beta_interval(beta)
 
 
 def test_sphere_sup_threshold_values():
