@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -66,6 +66,7 @@ from .errors import (
 from .measure import (
     PLAIN_GS,
     RANDOMIZED,
+    _row_norms_in_place,
     decompose_gh,
     epsilon_sup,
     ks_statistic,
@@ -99,6 +100,12 @@ _SUMMARIZED = ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf", "eps",
                "g2_over_m", "h2_over_m", "max_cross_over_m")
 
 
+# The values each type named in a config field's annotation accepts, in
+# Python and in a JSON config alike.  True and False are never numbers,
+# though Python's bool is an int.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
 def default_trials(kind: str) -> int:
     """Default trial count: 200 for borel, 5 otherwise."""
     return 200 if kind == "borel" else 5
@@ -121,6 +128,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # f.type is the annotation's text, such as "int | None".
+            accepted = tuple(_FIELD_TYPES[name] for name in f.type.split(" | "))
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.coupling not in COUPLINGS:
@@ -369,10 +382,14 @@ BOUND_CHECK_LABELS = (
 )
 
 
-# Trials per batch of the projection group.  One batch draws a
-# (125, 256*64 + 256) block of 16.6 MB, below the chi group's 10,000 x
-# 400 block, so batching does not raise the battery's peak memory.
+# Trials per batch of the projection group.  Its drawer fills one
+# (125, 256*64 + 256) buffer of 16.6 MB while the caller solves the
+# other, so the group holds two of them.
 _PROJECTION_BATCH = 125
+# The chi group's vector count, and the vectors per fill of its one
+# reused (1000, 400) buffer.
+_CHI_TOTAL = 100_000
+_CHI_BATCH = 1_000
 
 
 def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
@@ -384,6 +401,17 @@ def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
     subspaces of R^256 for the projection bounds at rho = eps = 0.3 and
     t = 1.5.
 
+    The chi group runs on a worker thread while this thread draws the
+    Gaussian group and solves the projection group (whose own drawer is
+    a second worker, see :func:`_projection_norms`).  numpy's fill
+    releases the GIL, so on two cores the draws overlap the solves.
+    Each group owns its substream and its generator, and each generator
+    is drawn by one thread in the serial order, so every stream and
+    every frequency is that of a serial run; the chi counts are joined
+    before the rows are built, in the serial row order.  A worker's
+    exception is raised here, and both workers are joined before this
+    returns.
+
     The projection group needs no QR.  For a Gaussian 256 x 64 block
     A = QR, Q^T v = R^-T A^T v, so ||Q^T v||^2 = b^T (A^T A)^-1 b with
     b = A^T v (Stewart 1980); :func:`_projection_norms` solves these Gram
@@ -391,44 +419,45 @@ def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
     still draws its block A and then its vector x, in that order, so the
     stream and the frequencies are those of one QR per trial.
     """
-    rows: list[tuple[str, int, int | None, float, float]] = []
-
-    gen = Seed(config.seed, (0,)).generator()
-    z = gen.standard_normal(100_000)
-    lower, upper = theory.gaussian_tail_bounds(1.0)
-    rows.append(("gauss-tail-upper", 1, None, float(np.mean(z > 1.0)), upper))
-    rows.append(("gauss-tail-complement", 1, None, float(np.mean(z <= 1.0)), 1.0 - lower))
-
-    gen = Seed(config.seed, (1,)).generator()
     dim, eps = 400, 0.2
-    bound = theory.chi_norm_tail(dim, eps)
-    hi = math.sqrt(dim) / math.sqrt(1.0 - eps)
-    lo = math.sqrt(dim) * math.sqrt(1.0 - eps)
-    count_hi = count_lo = 0
-    total, batch = 100_000, 10_000
-    for _ in range(total // batch):
-        norms = np.linalg.norm(gen.standard_normal((batch, dim)), axis=1)
-        count_hi += int((norms >= hi).sum())
-        count_lo += int((norms <= lo).sum())
-    rows.append(("chi-upper", dim, None, count_hi / total, bound))
-    rows.append(("chi-lower", dim, None, count_lo / total, bound))
+    with ThreadPoolExecutor(max_workers=1) as chi_worker:
+        chi = chi_worker.submit(
+            _chi_counts,
+            Seed(config.seed, (1,)).generator(),
+            dim,
+            math.sqrt(dim) * math.sqrt(1.0 - eps),
+            math.sqrt(dim) / math.sqrt(1.0 - eps),
+        )
 
-    gen = Seed(config.seed, (2,)).generator()
-    amb, k, rho, t = 256, 64, 0.3, 1.5
+        gen = Seed(config.seed, (0,)).generator()
+        z = gen.standard_normal(100_000)
+        lower, upper = theory.gaussian_tail_bounds(1.0)
+
+        gen = Seed(config.seed, (2,)).generator()
+        amb, k, rho, t = 256, 64, 0.3, 1.5
+        trials = 10_000
+        p_gauss, p_unit = _projection_norms(gen, trials, amb, k)
+    count_lo, count_hi = chi.result()
+
+    chi_bound = theory.chi_norm_tail(dim, eps)
     tails = theory.projection_tails(k, amb, rho, t)
     ratio = math.sqrt(k / amb)
-    trials = 10_000
-    p_gauss, p_unit = _projection_norms(gen, trials, amb, k)
     gauss_hi = int((p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho)).sum())
     gauss_lo = int((p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho)).sum())
     unit_hi = int((p_unit >= ratio / (1.0 - rho)).sum())
     unit_lo = int((p_unit <= ratio * (1.0 - rho)).sum())
     unit_t = int((p_unit >= t * ratio).sum())
-    rows.append(("proj-gauss-upper", amb, k, gauss_hi / trials, tails.gaussian_upper))
-    rows.append(("proj-gauss-lower", amb, k, gauss_lo / trials, tails.gaussian_lower))
-    rows.append(("proj-unit-upper", amb, k, unit_hi / trials, tails.unit_upper))
-    rows.append(("proj-unit-lower", amb, k, unit_lo / trials, tails.unit_lower))
-    rows.append(("proj-unit-t", amb, k, unit_t / trials, tails.unit_t))
+    rows = [
+        ("gauss-tail-upper", 1, None, float(np.mean(z > 1.0)), upper),
+        ("gauss-tail-complement", 1, None, float(np.mean(z <= 1.0)), 1.0 - lower),
+        ("chi-upper", dim, None, count_hi / _CHI_TOTAL, chi_bound),
+        ("chi-lower", dim, None, count_lo / _CHI_TOTAL, chi_bound),
+        ("proj-gauss-upper", amb, k, gauss_hi / trials, tails.gaussian_upper),
+        ("proj-gauss-lower", amb, k, gauss_lo / trials, tails.gaussian_lower),
+        ("proj-unit-upper", amb, k, unit_hi / trials, tails.unit_upper),
+        ("proj-unit-lower", amb, k, unit_lo / trials, tails.unit_lower),
+        ("proj-unit-t", amb, k, unit_t / trials, tails.unit_t),
+    ]
 
     return [
         TrialResult(
@@ -450,6 +479,23 @@ def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
     ]
 
 
+def _chi_counts(gen: np.random.Generator, dim: int, lo: float, hi: float) -> tuple[int, int]:
+    """How many of ``_CHI_TOTAL`` Gaussian vectors in R^dim have norm <= lo, >= hi.
+
+    The vectors are drawn ``_CHI_BATCH`` at a time into one reused
+    buffer.  Consecutive fills continue one stream, so the vectors are
+    bitwise those of a single draw, and :func:`_row_norms_in_place` is
+    bitwise ``np.linalg.norm(..., axis=1)``.
+    """
+    buf = np.empty((_CHI_BATCH, dim))
+    count_lo = count_hi = 0
+    for _ in range(_CHI_TOTAL // _CHI_BATCH):
+        norms = _row_norms_in_place(gen.standard_normal(out=buf))
+        count_lo += int((norms <= lo).sum())
+        count_hi += int((norms >= hi).sum())
+    return count_lo, count_hi
+
+
 def _projection_norms(
     gen: np.random.Generator, trials: int, amb: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -461,21 +507,42 @@ def _projection_norms(
     against G = A^T A at once.  A Gaussian block with k = amb / 4 has
     cond(A) near 3, so G is well conditioned and the norms match an
     explicit QR to rounding.
+
+    One drawer thread fills batch i + 1 while this thread solves batch
+    i, alternating between two buffers.  The drawer is the only thread
+    that touches ``gen`` and runs its fills in submission order, one
+    batch after the other, so the stream is that of a serial loop and
+    ends exactly after the last trial.  Batch i + 2 is submitted only
+    once batch i's buffer has been read for the last time.  A failed
+    fill is raised here, and the drawer is joined before this returns.
     """
     p_gauss = np.empty(trials)
     p_unit = np.empty(trials)
-    for start in range(0, trials, _PROJECTION_BATCH):
-        stop = min(start + _PROJECTION_BATCH, trials)
-        draws = gen.standard_normal((stop - start, amb * k + amb))
-        a = draws[:, : amb * k].reshape(-1, amb, k)
-        x = draws[:, amb * k :, None]
-        a_t = a.transpose(0, 2, 1)
-        # Right-hand sides A^T x and A^T e_1 side by side: (batch, k, 2).
-        rhs = np.concatenate((a_t @ x, a_t[:, :, :1]), axis=2)
-        sol = np.linalg.solve(a_t @ a, rhs)
-        squares = np.einsum("bki,bki->bi", rhs, sol)
-        p_gauss[start:stop] = np.sqrt(squares[:, 0])
-        p_unit[start:stop] = np.sqrt(squares[:, 1])
+    starts = range(0, trials, _PROJECTION_BATCH)
+    buffers = np.empty((2, min(_PROJECTION_BATCH, trials), amb * k + amb))
+
+    def draw(i: int) -> np.ndarray:
+        size = min(_PROJECTION_BATCH, trials - starts[i])
+        return gen.standard_normal(out=buffers[i % 2, :size])
+
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        pending = [drawer.submit(draw, i) for i in range(min(2, len(starts)))]
+        for i, start in enumerate(starts):
+            draws = pending[i].result()
+            a = draws[:, : amb * k].reshape(-1, amb, k)
+            x = draws[:, amb * k :, None]
+            a_t = a.transpose(0, 2, 1)
+            # Right-hand sides A^T x and A^T e_1 side by side: (batch, k, 2).
+            rhs = np.concatenate((a_t @ x, a_t[:, :, :1]), axis=2)
+            gram = a_t @ a
+            # The last read of this buffer is done; the drawer may refill it.
+            if i + 2 < len(starts):
+                pending.append(drawer.submit(draw, i + 2))
+            sol = np.linalg.solve(gram, rhs)
+            squares = np.einsum("bki,bki->bi", rhs, sol)
+            stop = start + len(draws)
+            p_gauss[start:stop] = np.sqrt(squares[:, 0])
+            p_unit[start:stop] = np.sqrt(squares[:, 1])
     return p_gauss, p_unit
 
 
@@ -715,11 +782,6 @@ def render_svg(report) -> str:
     return "\n".join(parts) + "\n"
 
 
-# The JSON values each type named in a config field's annotation accepts.
-# true and false are never numbers, though Python's bool is an int.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
-
-
 def config_from_json(source) -> ExperimentConfig:
     """Build a config from the JSON schema (text, file object, or dict)."""
     if hasattr(source, "read"):
@@ -739,10 +801,4 @@ def config_from_json(source) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "kind" not in data or "n" not in data:
         raise ConfigError("JSON config requires 'kind' and 'n'")
-    for f in fields(ExperimentConfig):
-        value = data.get(f.name)
-        # f.type is the annotation's text, such as "int | None".
-        accepted = tuple(_JSON_TYPES[name] for name in f.type.split(" | "))
-        if f.name in data and (isinstance(value, bool) or not isinstance(value, accepted)):
-            raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
     return ExperimentConfig(**{"trials": default_trials(data["kind"]), **data})

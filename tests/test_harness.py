@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pickle
+import threading
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
@@ -93,6 +94,16 @@ def test_config_validation_errors():
         ExperimentConfig(kind="row-norms", n=8, alpha=0.01)  # floor(0.08) = 0
     with pytest.raises(ConfigError):
         run(ExperimentConfig(kind="sweep", n=8, m=2))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("m", 2.5), ("n", 8.5), ("trials", 2.0), ("workers", True)],
+)
+def test_config_field_of_wrong_type_raises_config_error(field, value):
+    # The library checks types where --config does, before any value reaches numpy.
+    with pytest.raises(ConfigError, match=f"^config key {field!r} must be "):
+        ExperimentConfig(**{"kind": "row-norms", "n": 8, "m": 2, field: value})
 
 
 def test_sizeless_kinds_default_m():
@@ -302,27 +313,62 @@ def test_trial_errors_pickle():
 # --- bounds battery -----------------------------------------------------------
 
 
+# The battery's stream is fixed by its seed, so its frequencies are exact
+# values; a change to the draw order of any group, to the row order or to
+# a threshold shows here.
+_BATTERY_FREQUENCIES = {
+    0: (0.16052, 0.83948, 0.00053, 0.00131, 0.013, 0.0302, 0.0, 0.0002, 0.0),
+    7: (0.15861, 0.84139, 0.0005, 0.00128, 0.0151, 0.0333, 0.0, 0.0001, 0.0),
+    100: (0.15893, 0.84107, 0.0006, 0.00126, 0.0141, 0.033, 0.0, 0.0001, 0.0),
+}
+
+
 def test_bounds_battery_dominates():
-    report = run(ExperimentConfig(kind="bounds-check", n=1, seed=100))
-    rows = [r.rows[0] for r in report.results]
-    assert [row["label"] for row in rows] == list(BOUND_CHECK_LABELS)
-    assert report.aggregate["all_dominated"]
-    for row in rows:
-        assert 0.0 <= row["sup_F"] <= row["predicted"]
-        assert row["ratio_sup"] == pytest.approx(row["sup_F"] / row["predicted"])
-    # The battery's stream is fixed by its seed, so its frequencies are
-    # exact values; a change to the draw order or to a threshold shows here.
-    assert {row["label"]: row["sup_F"] for row in rows} == {
-        "gauss-tail-upper": 0.15893,
-        "gauss-tail-complement": 0.84107,
-        "chi-upper": 0.0006,
-        "chi-lower": 0.00126,
-        "proj-gauss-upper": 0.0141,
-        "proj-gauss-lower": 0.033,
-        "proj-unit-upper": 0.0,
-        "proj-unit-lower": 0.0001,
-        "proj-unit-t": 0.0,
-    }
+    threads = threading.active_count()
+    for seed, frequencies in _BATTERY_FREQUENCIES.items():
+        report = run(ExperimentConfig(kind="bounds-check", n=1, seed=seed))
+        # The chi worker and the projection drawer are joined before run returns.
+        assert threading.active_count() == threads
+        rows = [r.rows[0] for r in report.results]
+        assert [row["label"] for row in rows] == list(BOUND_CHECK_LABELS)
+        assert report.aggregate["all_dominated"]
+        for row in rows:
+            assert 0.0 <= row["sup_F"] <= row["predicted"]
+            assert row["ratio_sup"] == pytest.approx(row["sup_F"] / row["predicted"])
+        assert tuple(row["sup_F"] for row in rows) == frequencies, f"seed {seed}"
+
+
+class _FailingGenerator:
+    """A generator whose third ``standard_normal`` fill raises."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = 0
+
+    def standard_normal(self, *, out):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("fill 3 failed")
+        return self.gen.standard_normal(out=out)
+
+
+def test_projection_drawer_failure_reaches_the_caller():
+    threads = threading.active_count()
+    gen = _FailingGenerator(Seed(5, (2,)).generator())
+    raised = []
+
+    def call():
+        try:
+            _projection_norms(gen, 5 * _PROJECTION_BATCH, 32, 8)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "_projection_norms hung after a failed fill"
+    assert [str(exc) for exc in raised] == ["fill 3 failed"]
+    assert threading.active_count() == threads
 
 
 def test_projection_norms_match_qr_loop():
