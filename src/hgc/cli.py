@@ -4,6 +4,13 @@ Each subcommand maps onto a harness config; flags are long-form only.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 (orthogonality, degeneracy, or a crashed worker), 3 I/O error or out of
 memory.  ``HGC_WORKERS`` provides the default for ``--workers``.
+
+``--workers k`` asks for at most k trial processes; a run forks only as
+many as the cores hold beside OpenBLAS's threads
+(:func:`hgc.harness.pool_budget`).  When that is fewer than
+``min(k, trials)``, one ``hgc:`` line on stderr says so and how to get
+parallel processes; stdout and the output files are the same either way.
+A run whose blocks cannot fit in physical memory exits 1 before it draws.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .harness import (
     config_from_json,
     default_trials,
     emit,
+    pool_budget,
     run,
     sweep,
 )
@@ -173,8 +181,24 @@ def _experiment(ns: argparse.Namespace, kind: str, n: int, **output) -> Experime
                             workers=ns.workers, **output)
 
 
+def _note_budget(config: ExperimentConfig) -> None:
+    """Say on stderr when the cores hold fewer processes than --workers asks for."""
+    asked = min(config.workers, config.trials)
+    budget = pool_budget(config.workers, config.trials)
+    if budget.processes == asked:
+        return
+    note = (f"hgc: --workers {config.workers} runs as {budget.processes} "
+            f"process{'es' if budget.processes > 1 else ''}: OpenBLAS uses "
+            f"{budget.blas_threads} thread{'s' if budget.blas_threads > 1 else ''} "
+            f"on {budget.cores} cores")
+    if budget.blas_threads > 1:
+        note += "; set OPENBLAS_NUM_THREADS=1 to run trials in parallel"
+    print(note, file=sys.stderr)
+
+
 def _run_and_report(config: ExperimentConfig) -> Report:
     """Run a config, print its summary line, and write it to ``config.out`` if set."""
+    _note_budget(config)
     report = run(config)
     print(_summary(report))
     if config.out:
@@ -216,6 +240,7 @@ def _cmd_sweep(ns) -> int:
             configs.append(_experiment(ns, ns.kind, n))
         except ConfigError as exc:
             raise ConfigError(f"n={n}: {exc}") from exc
+    _note_budget(configs[0])
     table = sweep(configs)
     ok = sum(1 for cell in table.cells if cell["error"] is None)
     print(f"sweep: {ok}/{len(table.cells)} cells ok over n={dims} (kind={ns.kind}).")

@@ -7,7 +7,9 @@ count, and a root seed.  :func:`run` executes the trials on derived
 substreams -- trial t samples from ``(seed, [t])`` and the block
 rotation that a randomized eps reads from ``(seed, [t, 1])`` -- through
 one ordered map, in this process or in a pool of at most ``workers``
-processes, so serial and parallel runs produce identical results, and
+processes that the cores can hold beside OpenBLAS's threads (see
+:func:`pool_budget`), so serial and parallel runs produce identical
+results, and
 :func:`emit` writes a report as CSV, JSON, or SVG with byte-identical
 output for identical configs.  Every trial draws its Gaussian Y
 through the module global ``sample_gaussian``.
@@ -45,6 +47,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -209,19 +213,25 @@ class SweepTable:
 def run(config: ExperimentConfig) -> Report:
     """Execute all trials of a config and aggregate them.
 
-    Trials run in one ordered map over the trial indices: the builtin
-    ``map`` when ``min(config.workers, config.trials) == 1``, otherwise a
-    pool of that many processes, each handed one contiguous chunk of
-    trials.  Results are folded in trial order, so the output does not
-    depend on the worker count.  A degenerate trial is reported as a
-    :class:`NumericalError` naming that trial; a worker that dies and
-    breaks the pool, as one naming the first trial without a result.
+    Trials run in one ordered map over the trial indices on
+    ``pool_budget(config.workers, config.trials).processes`` processes:
+    the builtin ``map`` when that is 1, otherwise a pool of that many
+    processes, each handed one contiguous chunk of trials.  Every
+    process runs OpenBLAS's own thread count, so results are folded in
+    trial order and the output does not depend on the process count.
+    A run whose blocks cannot fit in physical memory is refused with a
+    :class:`ConfigError` before the first draw.  A degenerate trial is
+    reported as a :class:`NumericalError` naming that trial; a worker
+    that dies and breaks the pool, as one naming the first trial without
+    a result.
     """
     if config.kind == "bounds-check":
         results = _bounds_battery(config)
     else:
+        processes = pool_budget(config.workers, config.trials).processes
+        _check_footprint(config, processes)
         results = []
-        with _trial_map(config.workers, config.trials) as trial_map:
+        with _trial_map(processes, config.trials) as trial_map:
             try:
                 for result in trial_map(_trial_task, repeat(config), range(config.trials)):
                     results.append(result)
@@ -278,23 +288,96 @@ def emit(report, format: str, path: str) -> None:
 # trial execution
 
 
-@contextmanager
-def _trial_map(workers: int, trials: int):
-    """An ordered ``map`` over ``trials`` trials on at most ``workers`` processes.
+# The variables OpenBLAS reads its thread count from when it loads, in
+# the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-    With ``min(workers, trials) == 1`` it is the builtin, and nothing is
-    forked.  Otherwise it is the ``map`` of a pool of that many
-    processes with one contiguous chunk of ``ceil(trials / workers)``
-    trials per task: trials of one config cost the same, so each
-    worker's share is known up front, and a task pays its pickle and
-    queue round trip once, not once per trial.
+
+@dataclass(frozen=True)
+class PoolBudget:
+    """How many trial processes fit beside OpenBLAS's threads on the usable cores."""
+
+    processes: int
+    blas_threads: int
+    cores: int
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pool_budget(workers: int, trials: int, environ=None, cores: int | None = None) -> PoolBudget:
+    """The trial processes a run of ``trials`` trials on ``workers`` workers forks.
+
+    ``min(workers, trials, max(1, cores // blas_threads))``, where
+    ``cores`` defaults to this process's usable cores and ``environ`` to
+    ``os.environ``.  ``blas_threads`` is the count OpenBLAS gives itself
+    when it loads: the first positive value among ``_BLAS_THREAD_VARS``,
+    read as C's ``atoi`` reads it ("2x" is 2; "abc", "0" and "-1" are
+    skipped), capped at ``cores``; with none set, ``cores``.
+
+    Every forked process keeps that thread count, so a run uses BLAS
+    threads or processes, never more of the two than there are cores.
+    The thread count is not changed, and neither are the bits it decides.
     """
-    workers = min(workers, trials)
-    if workers == 1:
+    if cores is None:
+        cores = _usable_cores()
+    environ = os.environ if environ is None else environ
+    threads = cores
+    for name in _BLAS_THREAD_VARS:
+        value = re.match(r"\s*[+-]?[0-9]+", environ.get(name, ""))
+        if value and int(value.group()) > 0:
+            threads = min(int(value.group()), cores)
+            break
+    return PoolBudget(min(workers, trials, max(1, cores // threads)), threads, cores)
+
+
+def _check_footprint(config: ExperimentConfig, processes: int) -> None:
+    """Refuse a run whose trials cannot fit in physical memory at once.
+
+    Each of the ``processes`` processes holds a trial's Y, U and F (or
+    the QR's working copy of Y), three n x m blocks of doubles, at the
+    same time, so 3 n m 8 bytes per process is a lower bound on the
+    run's footprint: a run this refuses could not have fit in physical
+    memory.  Where ``os.sysconf`` cannot tell the physical memory,
+    nothing is checked.
+    """
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    m = config.resolved_m()
+    need = processes * 3 * config.n * m * 8
+    if 0 < physical < need:
+        raise ConfigError(
+            f"n={config.n}, m={m} on {processes} process(es) needs at least {need:,} "
+            f"bytes (3 n m 8 per process), more than the {physical:,} bytes of "
+            f"physical memory"
+        )
+
+
+@contextmanager
+def _trial_map(processes: int, trials: int):
+    """An ordered ``map`` over ``trials`` trials on ``processes`` processes.
+
+    With one process it is the builtin, and nothing is forked.
+    Otherwise it is the ``map`` of a pool of that many processes with
+    one contiguous chunk of ``ceil(trials / processes)`` trials per
+    task: trials of one config cost the same, so each worker's share is
+    known up front, and a task pays its pickle and queue round trip
+    once, not once per trial.  :func:`run` takes ``processes`` from
+    :func:`pool_budget`, so a pool is forked only when the cores can
+    hold its processes beside each one's OpenBLAS threads.
+    """
+    if processes == 1:
         yield map
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield partial(pool.map, chunksize=math.ceil(trials / workers))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            yield partial(pool.map, chunksize=math.ceil(trials / processes))
 
 
 def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:

@@ -312,13 +312,54 @@ def _crash_on_one_trial(config, t):
     return _REAL_TRIAL_TASK(config, t)
 
 
-def test_crashed_worker_exits_2_naming_the_trial(monkeypatch, capfd):
+def test_crashed_worker_exits_2_naming_the_trial(monkeypatch, capfd, two_pool_processes):
     monkeypatch.setattr(harness, "_trial_task", _crash_on_one_trial)
     code, _, err = invoke(
         ["rownorms", "--n", "8", "--m", "2", "--trials", "4", "--workers", "2"]
     )
     assert code == 2
     assert err.startswith(f"numerical failure: trial {_CRASHING_TRIAL}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err + capfd.readouterr().err
+
+
+def test_capped_workers_write_the_serial_csv_and_one_note(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a capped run forked a pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    argv = ["borel", "--n", "16", "--trials", "12", "--seed", "3", "--out"]
+    serial = invoke([*argv, str(tmp_path / "w1.csv"), "--workers", "1"])
+    capped = invoke([*argv, str(tmp_path / "w2.csv"), "--workers", "2"])
+    assert serial[:2] == capped[:2] == (0, serial[1])
+    assert serial[2] == ""
+    assert capped[2] == (
+        "hgc: --workers 2 runs as 1 process: OpenBLAS uses 2 threads on 2 cores; "
+        "set OPENBLAS_NUM_THREADS=1 to run trials in parallel\n"
+    )
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_workers_beyond_the_cores_note_the_core_cap(two_pool_processes):
+    code, _, err = invoke(["borel", "--n", "16", "--trials", "12", "--workers", "4"])
+    assert code == 0
+    assert err == "hgc: --workers 4 runs as 2 processes: OpenBLAS uses 1 thread on 2 cores\n"
+
+
+def test_oversized_run_is_refused_before_it_draws(monkeypatch, capfd):
+    def no_draw(*args):
+        raise AssertionError("an oversized run drew its sample")
+
+    monkeypatch.setattr(harness, "sample_gaussian", no_draw)
+    code, out, err = invoke(["rownorms", "--n", "1000000", "--alpha", "1", "--workers", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
+                          "24,000,000,000,000 bytes")
+    assert "bytes of physical memory" in err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
 

@@ -3,12 +3,15 @@ import io
 import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,7 +132,7 @@ def test_run_deterministic_and_seed_sensitivity():
     assert render_csv(redirected) == render_csv(first)
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(two_pool_processes):
     serial = run(ExperimentConfig(kind="gh-split", n=64, alpha=0.5, trials=4, seed=9))
     parallel = run(
         ExperimentConfig(kind="gh-split", n=64, alpha=0.5, trials=4, seed=9, workers=2)
@@ -149,7 +152,7 @@ def _trial_with_pid(config, t):
     return replace(result, rows=tuple({**row, "pid": os.getpid()} for row in result.rows))
 
 
-def test_each_worker_runs_one_contiguous_chunk(monkeypatch):
+def test_each_worker_runs_one_contiguous_chunk(monkeypatch, two_pool_processes):
     monkeypatch.setattr(harness, "_trial_task", _trial_with_pid)
     pools = []
 
@@ -174,6 +177,95 @@ def test_each_worker_runs_one_contiguous_chunk(monkeypatch):
     assert pools == [2, 2]
     assert pids(4, 1) == [os.getpid()]
     assert pools == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "environ, cores, workers, trials, threads, processes",
+    [
+        ({}, 2, 2, 200, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 2, 200, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 2, 200, 2, 1),
+        # OpenBLAS reads a value as atoi does and skips one below 1.
+        ({"OPENBLAS_NUM_THREADS": "1abc"}, 2, 2, 200, 1, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        # OPENBLAS_NUM_THREADS comes first, then GOTO_NUM_THREADS, then OMP_NUM_THREADS.
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 200, 2, 2),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 8, 200, 4, 2),
+        # The workers, trials and cores caps.
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 200, 1, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 8, 5, 1, 5),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 200, 1, 2),
+        ({}, 1, 4, 200, 1, 1),
+    ],
+)
+def test_pool_budget(environ, cores, workers, trials, threads, processes):
+    budget = harness.pool_budget(workers, trials, environ, cores)
+    assert budget == harness.PoolBudget(processes, threads, cores)
+
+
+# Prints the thread count of numpy's loaded OpenBLAS and the derived one;
+# exits 3 when the library or its symbol cannot be found.
+_LIVE_BLAS_THREADS = """
+import ctypes, glob, os, sys
+import numpy
+from hgc import harness
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "*openblas*"))
+try:
+    live = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    live.argtypes, live.restype = [], ctypes.c_int
+except (IndexError, OSError, AttributeError):
+    sys.exit(3)
+print(live(), harness.pool_budget(1, 1).blas_threads)
+"""
+
+
+@pytest.mark.parametrize("setting", [{}, {"OPENBLAS_NUM_THREADS": "1"}])
+def test_derived_blas_threads_match_the_loaded_openblas(setting):
+    env = {k: v for k, v in os.environ.items() if k not in harness._BLAS_THREAD_VARS}
+    src = str(Path(harness.__file__).parents[1])
+    env.update(setting, PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _LIVE_BLAS_THREADS], env=env,
+                          capture_output=True, text=True)
+    if done.returncode == 3:
+        pytest.skip("numpy's OpenBLAS exports no scipy_openblas_get_num_threads64_")
+    assert done.returncode == 0, done.stderr
+    live, derived = done.stdout.split()
+    assert live == derived
+
+
+def test_a_capped_run_forks_nothing(monkeypatch):
+    # Two OpenBLAS threads fill two cores, so workers=2 runs in this process.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a capped run forked a pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    config = ExperimentConfig(kind="gh-split", n=64, alpha=0.5, trials=4, seed=9)
+    assert render_csv(run(replace(config, workers=2))) == render_csv(run(config))
+
+
+def test_footprint_bound_counts_every_process(monkeypatch):
+    # 8 MiB of physical memory; a 512 x 256 trial holds 3 MiB.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}.get)
+    config = ExperimentConfig(kind="row-norms", n=512, m=256)
+    harness._check_footprint(config, 2)
+    with pytest.raises(ConfigError, match=r"on 3 process\(es\) needs at least 9,437,184 "
+                                          r"bytes .* the 8,388,608 bytes of physical"):
+        harness._check_footprint(config, 3)
+
+
+def test_footprint_is_not_checked_without_sysconf_names(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    harness._check_footprint(ExperimentConfig(kind="row-norms", n=10**6, alpha=1.0), 1)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +368,7 @@ def test_borel_kind_pools_entries():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_degenerate_trial_reports_index(monkeypatch, workers):
+def test_degenerate_trial_reports_index(monkeypatch, two_pool_processes, workers):
     # With workers=2 the trials run in forked pool workers, which inherit
     # the patch; the worker's DegeneracyError is pickled back to this process.
     make_singular(monkeypatch, lambda n, seed: seed.path == (1,))
@@ -288,7 +380,7 @@ def test_degenerate_trial_reports_index(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_degenerate_rotation_reports_its_trial(monkeypatch, workers):
+def test_degenerate_rotation_reports_its_trial(monkeypatch, two_pool_processes, workers):
     # On two workers trial 3 is the second trial of the chunk (2, 3), so
     # counting the results that came back would name trial 2: the trial
     # must name itself, rotation included.
