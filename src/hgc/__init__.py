@@ -37,7 +37,6 @@ from .measure import (
     RowBlockDecomposition,
     decompose_gh,
     epsilon_sup,
-    gh_matrices,
     ks_statistic,
     summarize,
     truncated_row_norms,
@@ -79,7 +78,6 @@ __all__ = [
     "epsilon_envelope",
     "epsilon_sup",
     "gaussian_tail_bounds",
-    "gh_matrices",
     "gram_schmidt_couple",
     "haar_orthogonal",
     "hoeffding_bound",

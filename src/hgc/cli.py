@@ -10,7 +10,8 @@ many as the cores hold beside OpenBLAS's threads
 (:func:`hgc.harness.pool_budget`).  When that is fewer than
 ``min(k, trials)``, one ``hgc:`` line on stderr says so and how to get
 parallel processes; stdout and the output files are the same either way.
-A run whose blocks cannot fit in physical memory exits 1 before it draws.
+A run whose blocks cannot fit in physical memory exits 1 before it
+draws, and so does ``couple`` for a square that cannot.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .harness import (
     FORMATS,
     ExperimentConfig,
     Report,
+    _check_footprint,
     config_from_json,
     default_trials,
     emit,
@@ -209,6 +211,7 @@ def _run_and_report(config: ExperimentConfig) -> Report:
 def _cmd_couple(ns) -> int:
     if ns.n < 1:
         raise ConfigError(f"n must be >= 1, got {ns.n}")
+    _check_footprint(ns.n, ns.n, 1)
     pair = gram_schmidt_couple(sample_gaussian(ns.n, ns.n, Seed(ns.seed, (0,))))
     orth = float(np.abs(pair.u.T @ pair.u - np.eye(ns.n)).max())
     recon = pair.y - pair.u @ pair.trace

@@ -174,24 +174,17 @@ def haar_orthogonal(k: int, seed: Seed) -> np.ndarray:
     """k x k orthogonal matrix distributed by Haar measure on O(k).
 
     Realized as ``gram_schmidt_couple(sample_gaussian(k, k, seed)).u``,
-    so it is deterministic per seed.
+    so it is deterministic per seed; a k below 1 raises
+    :class:`DimensionError` there.
     """
-    if k < 1:
-        raise DimensionError(f"dimension must be >= 1, got {k}")
     return gram_schmidt_couple(sample_gaussian(k, k, seed)).u
 
 
-def randomized_couple(
-    pair: CoupledPair,
-    m: int,
-    seed: Seed,
-    v_m: np.ndarray | None = None,
-) -> RotatedPair:
+def randomized_couple(pair: CoupledPair, m: int, seed: Seed) -> RotatedPair:
     """Right-multiply the first m columns of a coupled pair by V_m.
 
-    V_m is Haar on O(m) (drawn from ``seed`` unless injected through
-    ``v_m``, which exists for tests), and m may not exceed the number of
-    columns the pair holds.  Both the Gaussian law of y and the Haar law
+    V_m is ``haar_orthogonal(m, seed)``, Haar on O(m), and m may not
+    exceed the number of columns the pair holds.  Both the Gaussian law of y and the Haar law
     of u are invariant under the rotation diag(V_m, I), and for every
     row the Euclidean norm of the first m entries of y - sqrt(n) u is
     preserved exactly in exact arithmetic.  Only the rotated n x m
@@ -200,8 +193,5 @@ def randomized_couple(
     k = pair.u.shape[1]
     if not 1 <= m <= k:
         raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
-    if v_m is None:
-        v_m = haar_orthogonal(m, seed)
-    elif v_m.shape != (m, m):
-        raise DimensionError(f"injected rotation must be {m}x{m}, got {v_m.shape}")
+    v_m = haar_orthogonal(m, seed)
     return RotatedPair(y=pair.y[:, :m] @ v_m, u=pair.u[:, :m] @ v_m)

@@ -10,7 +10,7 @@ it runs at; a clause that compares sizes is vacuous when its scale lists
 one size.
 
 ``full`` is the stated scale, which ``tests/test_acceptance.py`` runs.
-``reduced`` (n <= 512) is what ``hgc selftest`` runs, in about 9
+``reduced`` (n <= 512) is what ``hgc selftest`` runs, in about 5 to 6
 seconds on two cores with OpenBLAS; its concentration windows are wider,
 to match the larger finite-size corrections at that scale.  Criteria 03
 and 05 have no reduced scale: their claims are about large n.
@@ -28,7 +28,7 @@ import numpy as np
 from . import harness
 from .coupling import gram_schmidt_couple
 from .harness import ExperimentConfig, Report, render_csv
-from .measure import _residual_block, gh_matrices
+from .measure import _residual_split
 from .rng import Seed, sample_gaussian
 from .theory import (
     beta_interval,
@@ -104,8 +104,8 @@ def _exact_identities(seed, run, instances, tag):
     worst_yur = worst_orth = worst_cross = worst_frob = 0.0
     for i, (n, m) in enumerate(instances):
         pair = gram_schmidt_couple(sample_gaussian(n, n, Seed(seed, (tag, i))))
-        g, h = gh_matrices(pair, m)
-        f = _residual_block(pair.y, pair.u, m)
+        f, h = _residual_split(pair, m)
+        g = f - h
         worst_yur = max(worst_yur, float(np.abs(pair.y - pair.u @ pair.trace).max()))
         worst_orth = max(
             worst_orth, float(np.abs(pair.u.T @ pair.u - np.eye(n)).max())

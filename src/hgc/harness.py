@@ -33,9 +33,10 @@ borel            pools sqrt(n) u_11 across trials; each row carries the
                  Kolmogorov-Smirnov distance in ``ks``
 bounds-check     fixed battery of tail-bound dominance checks (see
                  ``BOUND_CHECK_LABELS`` for the row order); each row
-                 carries its own n, m and label, the empirical frequency
-                 in ``sup_F``, the analytic bound in ``predicted``, and
-                 their ratio in ``ratio_sup``; ``trials`` is ignored
+                 carries its own n and m, the empirical frequency in
+                 ``sup_F``, the analytic bound in ``predicted``, and
+                 their ratio in ``ratio_sup``; the aggregate's ``checks``
+                 name each bound; ``trials`` is ignored
 
 Every matrix kind samples and couples only the n x m block of Y, the
 columns its statistics read; borel draws n x 1.  The block is bitwise
@@ -185,8 +186,7 @@ class TrialResult:
     """The CSV rows one trial (or one bound check) measured.
 
     Each row maps CSV column names to values; columns it leaves out come
-    from the config or stay empty.  A bound check's row also carries its
-    ``label``, which the aggregate reads and the CSV does not hold.
+    from the config or stay empty.
     """
 
     trial: int
@@ -226,17 +226,16 @@ def run(config: ExperimentConfig) -> Report:
     a result.
     """
     if config.kind == "bounds-check":
-        results = _bounds_battery(config)
-    else:
-        processes = pool_budget(config.workers, config.trials).processes
-        _check_footprint(config, processes)
-        results = []
-        with _trial_map(processes, config.trials) as trial_map:
-            try:
-                for result in trial_map(_trial_task, repeat(config), range(config.trials)):
-                    results.append(result)
-            except BrokenProcessPool as exc:
-                raise NumericalError(len(results), exc) from exc
+        return _bounds_battery(config)
+    processes = pool_budget(config.workers, config.trials).processes
+    _check_footprint(config.n, config.resolved_m(), processes)
+    results = []
+    with _trial_map(processes, config.trials) as trial_map:
+        try:
+            for result in trial_map(_trial_task, repeat(config), range(config.trials)):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            raise NumericalError(len(results), exc) from exc
     return Report(config=config, results=results, aggregate=_aggregate(config, results))
 
 
@@ -310,51 +309,48 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def pool_budget(workers: int, trials: int, environ=None, cores: int | None = None) -> PoolBudget:
+def pool_budget(workers: int, trials: int) -> PoolBudget:
     """The trial processes a run of ``trials`` trials on ``workers`` workers forks.
 
     ``min(workers, trials, max(1, cores // blas_threads))``, where
-    ``cores`` defaults to this process's usable cores and ``environ`` to
-    ``os.environ``.  ``blas_threads`` is the count OpenBLAS gives itself
-    when it loads: the first positive value among ``_BLAS_THREAD_VARS``,
-    read as C's ``atoi`` reads it ("2x" is 2; "abc", "0" and "-1" are
-    skipped), capped at ``cores``; with none set, ``cores``.
+    ``cores`` is this process's usable cores (:func:`_usable_cores`).
+    ``blas_threads`` is the count OpenBLAS gives itself when it loads:
+    the first positive value in ``os.environ`` among
+    ``_BLAS_THREAD_VARS``, read as C's ``atoi`` reads it ("2x" is 2;
+    "abc", "0" and "-1" are skipped), capped at ``cores``; with none
+    set, ``cores``.
 
     Every forked process keeps that thread count, so a run uses BLAS
     threads or processes, never more of the two than there are cores.
     The thread count is not changed, and neither are the bits it decides.
     """
-    if cores is None:
-        cores = _usable_cores()
-    environ = os.environ if environ is None else environ
+    cores = _usable_cores()
     threads = cores
     for name in _BLAS_THREAD_VARS:
-        value = re.match(r"\s*[+-]?[0-9]+", environ.get(name, ""))
+        value = re.match(r"\s*[+-]?[0-9]+", os.environ.get(name, ""))
         if value and int(value.group()) > 0:
             threads = min(int(value.group()), cores)
             break
     return PoolBudget(min(workers, trials, max(1, cores // threads)), threads, cores)
 
 
-def _check_footprint(config: ExperimentConfig, processes: int) -> None:
-    """Refuse a run whose trials cannot fit in physical memory at once.
+def _check_footprint(n: int, m: int, processes: int) -> None:
+    """Refuse to couple n x m blocks on ``processes`` processes that cannot fit in memory.
 
-    Each of the ``processes`` processes holds a trial's Y, U and F (or
-    the QR's working copy of Y), three n x m blocks of doubles, at the
-    same time, so 3 n m 8 bytes per process is a lower bound on the
-    run's footprint: a run this refuses could not have fit in physical
-    memory.  Where ``os.sysconf`` cannot tell the physical memory,
-    nothing is checked.
+    Each process holds a block's Y, U and F (or the QR's working copy
+    of Y), three n x m blocks of doubles, at the same time, so 3 n m 8
+    bytes per process is a lower bound on the footprint: work this
+    refuses could not have fit in physical memory.  Where
+    ``os.sysconf`` cannot tell the physical memory, nothing is checked.
     """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    m = config.resolved_m()
-    need = processes * 3 * config.n * m * 8
+    need = processes * 3 * n * m * 8
     if 0 < physical < need:
         raise ConfigError(
-            f"n={config.n}, m={m} on {processes} process(es) needs at least {need:,} "
+            f"n={n}, m={m} on {processes} process(es) needs at least {need:,} "
             f"bytes (3 n m 8 per process), more than the {physical:,} bytes of "
             f"physical memory"
         )
@@ -475,7 +471,7 @@ _CHI_TOTAL = 100_000
 _CHI_BATCH = 1_000
 
 
-def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
+def _bounds_battery(config: ExperimentConfig) -> Report:
     """Empirical frequency vs analytic bound at the standard parameter points.
 
     Three sampling groups (substreams 0..2 of the root seed): 1e5
@@ -530,7 +526,7 @@ def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
     unit_hi = int((p_unit >= ratio / (1.0 - rho)).sum())
     unit_lo = int((p_unit <= ratio * (1.0 - rho)).sum())
     unit_t = int((p_unit >= t * ratio).sum())
-    rows = [
+    checks = [
         ("gauss-tail-upper", 1, None, float(np.mean(z > 1.0)), upper),
         ("gauss-tail-complement", 1, None, float(np.mean(z <= 1.0)), 1.0 - lower),
         ("chi-upper", dim, None, count_hi / _CHI_TOTAL, chi_bound),
@@ -542,24 +538,24 @@ def _bounds_battery(config: ExperimentConfig) -> list[TrialResult]:
         ("proj-unit-t", amb, k, unit_t / trials, tails.unit_t),
     ]
 
-    return [
-        TrialResult(
-            trial=i,
-            seed=Seed(config.seed, (min(i // 2, 2),)),
-            rows=(
-                {
-                    "n": row_n,
-                    "m": row_m,
-                    "coupling": None,
-                    "label": label,
-                    "sup_F": freq,
-                    "predicted": bnd,
-                    "ratio_sup": freq / bnd,
-                },
-            ),
-        )
-        for i, (label, row_n, row_m, freq, bnd) in enumerate(rows)
+    results = [
+        TrialResult(trial=i, seed=Seed(config.seed, (min(i // 2, 2),)), rows=(
+            {"n": row_n, "m": row_m, "coupling": None, "sup_F": freq, "predicted": bnd,
+             "ratio_sup": freq / bnd},
+        ))
+        for i, (_, row_n, row_m, freq, bnd) in enumerate(checks)
     ]
+    # The battery couples nothing, so its aggregate names no coupling.
+    aggregate = {
+        "kind": config.kind,
+        "n": config.n,
+        "trials": len(results),
+        "seed": config.seed,
+        "checks": [{"label": label, "frequency": freq, "bound": bnd, "ratio": freq / bnd}
+                   for label, _, _, freq, bnd in checks],
+        "all_dominated": all(freq <= bnd for _, _, _, freq, bnd in checks),
+    }
+    return Report(config=config, results=results, aggregate=aggregate)
 
 
 def _chi_counts(gen: np.random.Generator, dim: int, lo: float, hi: float) -> tuple[int, int]:
@@ -639,22 +635,9 @@ def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> dict:
         "n": config.n,
         "trials": len(results),
         "seed": config.seed,
+        "coupling": config.coupling,
     }
     rows = [row for r in results for row in r.rows]
-    # The battery couples nothing, so its aggregate names no coupling.
-    if config.kind == "bounds-check":
-        agg["checks"] = [
-            {
-                "label": row["label"],
-                "frequency": row["sup_F"],
-                "bound": row["predicted"],
-                "ratio": row["ratio_sup"],
-            }
-            for row in rows
-        ]
-        agg["all_dominated"] = all(c["frequency"] <= c["bound"] for c in agg["checks"])
-        return agg
-    agg["coupling"] = config.coupling
 
     if config.kind == "borel":
         pooled = [row["mean_F"] for row in rows]
@@ -702,65 +685,48 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _report_rows(report: Report) -> list[dict]:
-    """Each trial's rows, completed by the columns that come from the config."""
-    cfg, agg = report.config, report.aggregate
-    env = agg.get("theory", {})
-    from_config = {
-        "kind": cfg.kind,
-        "n": cfg.n,
-        "m": agg.get("m"),
-        "alpha": agg.get("alpha"),
-        "beta": cfg.beta,
-        "coupling": cfg.coupling,
-        "ks": agg.get("ks"),
-    }
-    rows = []
-    for r in report.results:
-        for measured in r.rows:
-            row = dict.fromkeys(_CSV_FIELDS)
-            row.update(from_config, trial=r.trial, seed=str(r.seed))
-            if "eps" in measured:
-                row["eps_lower"] = env.get("eps_lower")
-                row["eps_upper"] = env.get("eps_upper")
-            row.update((f, measured[f]) for f in _CSV_FIELDS if f in measured)
-            rows.append(row)
-    return rows
+def _row(config: ExperimentConfig, aggregate: dict, **columns) -> dict:
+    """A CSV row, empty but for the columns of the config and aggregate and ``columns``.
 
-
-def _sweep_rows(table: SweepTable) -> list[dict]:
-    rows = []
-    for cell in table.cells:
-        cfg = cell["config"]
-        row = {f: None for f in _CSV_FIELDS}
-        row["kind"] = cfg.kind
-        row["n"] = cfg.n
-        row["seed"] = str(cfg.seed)
-        row["coupling"] = cfg.coupling
-        agg = cell["aggregate"]
-        if agg is None:
-            row["error"] = cell["error"]
-            rows.append(row)
-            continue
-        row["m"] = agg.get("m")
-        row["alpha"] = agg.get("alpha")
-        row["beta"] = agg.get("beta")
-        for name in _SUMMARIZED:
-            if name in agg:
-                row[name] = agg[name]["q50"]
-        theory_block = agg.get("theory", {})
-        row["predicted"] = theory_block.get("predicted")
-        row["eps_lower"] = theory_block.get("eps_lower")
-        row["eps_upper"] = theory_block.get("eps_upper")
-        row["ks"] = agg.get("ks")
-        rows.append(row)
-    return rows
+    Keys come in CSV order; a column ``columns`` adds beyond the CSV's
+    own, such as a failed sweep cell's ``error``, comes last.
+    """
+    row = dict.fromkeys(_CSV_FIELDS)
+    row.update(kind=config.kind, n=config.n, m=aggregate.get("m"), alpha=aggregate.get("alpha"),
+               coupling=config.coupling, ks=aggregate.get("ks"), **columns)
+    return row
 
 
 def _rows_of(report) -> list[dict]:
-    if isinstance(report, SweepTable):
-        return _sweep_rows(report)
-    return _report_rows(report)
+    """The rows of a Report, one per measured row, or of a SweepTable, one per cell.
+
+    A report's row is a trial's measured row over the columns that come
+    from the config, which are built once per report; it carries the eps
+    envelope only beside an eps.  A sweep's row holds its cell's medians
+    and theory, and ``beta`` as the aggregate has it, so a borel cell's
+    is empty; a failed cell's row holds only its config and its error.
+    """
+    if isinstance(report, Report):
+        cfg, agg = report.config, report.aggregate
+        env = agg.get("theory", {})
+        envelope = {"eps_lower": env.get("eps_lower"), "eps_upper": env.get("eps_upper")}
+        base = _row(cfg, agg, beta=cfg.beta)
+        return [
+            {**base, "trial": r.trial, "seed": str(r.seed),
+             **(envelope if "eps" in measured else {}), **measured}
+            for r in report.results
+            for measured in r.rows
+        ]
+    rows = []
+    for cell in report.cells:
+        agg = cell["aggregate"] or {}
+        env = agg.get("theory", {})
+        medians = {name: agg[name]["q50"] for name in _SUMMARIZED if name in agg}
+        failed = {} if cell["error"] is None else {"error": cell["error"]}
+        rows.append(_row(cell["config"], agg, beta=agg.get("beta"), seed=str(cell["config"].seed),
+                         predicted=env.get("predicted"), eps_lower=env.get("eps_lower"),
+                         eps_upper=env.get("eps_upper"), **medians, **failed))
+    return rows
 
 
 def render_csv(report) -> str:
@@ -779,7 +745,7 @@ def render_json(report) -> str:
     """JSON text mirroring the CSV fields plus config and aggregate."""
     if isinstance(report, SweepTable):
         doc = {
-            "rows": _sweep_rows(report),
+            "rows": _rows_of(report),
             "cells": [
                 {
                     "config": asdict(cell["config"]),
@@ -792,7 +758,7 @@ def render_json(report) -> str:
     else:
         doc = {
             "config": asdict(report.config),
-            "rows": _report_rows(report),
+            "rows": _rows_of(report),
             "aggregate": report.aggregate,
         }
     return json.dumps(doc, indent=2) + "\n"
@@ -804,8 +770,8 @@ def render_svg(report) -> str:
     is_sweep = isinstance(report, SweepTable)
     x_name = "n" if is_sweep else "trial"
     series: dict[str, list[tuple[float, float]]] = {}
-    for i, row in enumerate(rows):
-        x = float(row["n"] if is_sweep else (row["trial"] if row["trial"] is not None else i))
+    for row in rows:
+        x = float(row["n"] if is_sweep else row["trial"])
         for col in ("ratio_sup", "ratio_inf", "eps", "eps_lower", "eps_upper", "ks"):
             if row.get(col) is None:
                 continue
@@ -813,10 +779,6 @@ def render_svg(report) -> str:
             if col == "eps" and row.get("coupling"):
                 name = f"eps[{row['coupling']}]"
             series.setdefault(name, []).append((x, float(row[col])))
-    if not series:
-        for i, row in enumerate(rows):
-            if row.get("mean_F") is not None:
-                series.setdefault("mean_F", []).append((float(i), float(row["mean_F"])))
 
     width, height = 640, 400
     left, right, top, bottom = 60, 620, 20, 360

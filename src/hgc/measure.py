@@ -47,18 +47,6 @@ def truncated_row_norms(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
     return _row_norms_in_place(_residual_block(y, u, m))
 
 
-def gh_matrices(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n x m matrices G and H of the projection/residual split.
-
-    Column j of H is (r_j - sqrt(n)) nu_j, and G = F - H.  Column j of G
-    is then y_j - r_j nu_j, the projection of y_j onto the span of the
-    earlier columns: U striu(R) up to rounding.  ``m`` may not exceed
-    the number of columns the pair holds.
-    """
-    f, h = _residual_split(pair, m)
-    return np.subtract(f, h, out=f), h
-
-
 def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
     """Row-wise norms and cross terms of the F = G + H split.
 

@@ -244,13 +244,21 @@ def test_io_error_exit_3(tmp_path):
 
 def _two_checks(config):
     # One bound dominated, one violated.
-    return [
+    checks = (("held", 0.05), ("broken", 0.2))
+    results = [
         harness.TrialResult(trial=i, seed=Seed(config.seed, (i,)), rows=(
-            {"n": 1, "m": None, "coupling": None, "label": label,
+            {"n": 1, "m": None, "coupling": None,
              "sup_F": freq, "predicted": 0.1, "ratio_sup": freq / 0.1},
         ))
-        for i, (label, freq) in enumerate((("held", 0.05), ("broken", 0.2)))
+        for i, (_, freq) in enumerate(checks)
     ]
+    aggregate = {
+        "kind": config.kind, "n": config.n, "trials": 2, "seed": config.seed,
+        "checks": [{"label": label, "frequency": freq, "bound": 0.1, "ratio": freq / 0.1}
+                   for label, freq in checks],
+        "all_dominated": False,
+    }
+    return harness.Report(config=config, results=results, aggregate=aggregate)
 
 
 def test_bounds_check_violation_exits_2(monkeypatch, tmp_path):
@@ -360,6 +368,20 @@ def test_oversized_run_is_refused_before_it_draws(monkeypatch, capfd):
     assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
                           "24,000,000,000,000 bytes")
     assert "bytes of physical memory" in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err + capfd.readouterr().err
+
+
+def test_oversized_couple_is_refused_before_it_draws(monkeypatch, capfd):
+    def no_draw(*args):
+        raise AssertionError("an oversized couple drew its sample")
+
+    monkeypatch.setattr(cli, "sample_gaussian", no_draw)
+    code, out, err = invoke(["couple", "--n", "1000000"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
+                          "24,000,000,000,000 bytes")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
 

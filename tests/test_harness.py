@@ -201,8 +201,13 @@ def test_each_worker_runs_one_contiguous_chunk(monkeypatch, two_pool_processes):
         ({}, 1, 4, 200, 1, 1),
     ],
 )
-def test_pool_budget(environ, cores, workers, trials, threads, processes):
-    budget = harness.pool_budget(workers, trials, environ, cores)
+def test_pool_budget(monkeypatch, environ, cores, workers, trials, threads, processes):
+    for name in harness._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    budget = harness.pool_budget(workers, trials)
     assert budget == harness.PoolBudget(processes, threads, cores)
 
 
@@ -253,11 +258,10 @@ def test_a_capped_run_forks_nothing(monkeypatch):
 def test_footprint_bound_counts_every_process(monkeypatch):
     # 8 MiB of physical memory; a 512 x 256 trial holds 3 MiB.
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}.get)
-    config = ExperimentConfig(kind="row-norms", n=512, m=256)
-    harness._check_footprint(config, 2)
+    harness._check_footprint(512, 256, 2)
     with pytest.raises(ConfigError, match=r"on 3 process\(es\) needs at least 9,437,184 "
                                           r"bytes .* the 8,388,608 bytes of physical"):
-        harness._check_footprint(config, 3)
+        harness._check_footprint(512, 256, 3)
 
 
 def test_footprint_is_not_checked_without_sysconf_names(monkeypatch):
@@ -265,7 +269,7 @@ def test_footprint_is_not_checked_without_sysconf_names(monkeypatch):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
     monkeypatch.setattr(os, "sysconf", unknown)
-    harness._check_footprint(ExperimentConfig(kind="row-norms", n=10**6, alpha=1.0), 1)
+    harness._check_footprint(10**6, 10**6, 1)
 
 
 @pytest.mark.parametrize(
@@ -422,11 +426,15 @@ def test_bounds_battery_dominates():
         # The chi worker and the projection drawer are joined before run returns.
         assert threading.active_count() == threads
         rows = [r.rows[0] for r in report.results]
-        assert [row["label"] for row in rows] == list(BOUND_CHECK_LABELS)
+        checks = report.aggregate["checks"]
+        assert [check["label"] for check in checks] == list(BOUND_CHECK_LABELS)
         assert report.aggregate["all_dominated"]
-        for row in rows:
+        for row, check in zip(rows, checks):
+            assert set(row) <= set(CSV_HEADER.split(","))
             assert 0.0 <= row["sup_F"] <= row["predicted"]
             assert row["ratio_sup"] == pytest.approx(row["sup_F"] / row["predicted"])
+            assert (check["frequency"], check["bound"], check["ratio"]) == (
+                row["sup_F"], row["predicted"], row["ratio_sup"])
         assert tuple(row["sup_F"] for row in rows) == frequencies, f"seed {seed}"
 
 
@@ -647,6 +655,53 @@ def _layout_report(name):
 def test_csv_columns_filled_per_row(name):
     rows = csv.DictReader(io.StringIO(render_csv(_layout_report(name))))
     assert [{col for col, value in row.items() if value} for row in rows] == _LAYOUTS[name][1]
+
+
+# --- sweep rows -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        dict(kind="row-norms", alpha=0.5),
+        dict(kind="epsilon", beta=1.0, coupling="randomized"),
+        dict(kind="coupling-compare", beta=1.0),
+        dict(kind="borel"),
+    ],
+    ids=lambda size: size["kind"],
+)
+def test_sweep_rows_agree_with_their_cells(size):
+    table = sweep([ExperimentConfig(n=n, trials=3, seed=5, **size) for n in (16, 32)])
+    rows = json.loads(render_json(table))["rows"]
+    assert len(rows) == len(table.cells)
+    for row, cell in zip(rows, table.cells):
+        agg = cell["aggregate"]
+        report = run(cell["config"])
+        assert report.aggregate == agg
+        for name in harness._SUMMARIZED:
+            assert row[name] == (agg[name]["q50"] if name in agg else None), name
+        report_rows = json.loads(render_json(report))["rows"]
+        for name in ("kind", "n", "m", "alpha", "ks"):
+            assert {r[name] for r in report_rows} == {row[name]}, name
+        # A compare trial's second row names the randomized coupling it measured.
+        assert report_rows[0]["coupling"] == row["coupling"] == cell["config"].coupling
+        env = agg.get("theory", {})
+        for name in ("predicted", "eps_lower", "eps_upper"):
+            assert row[name] == env.get(name), name
+        assert row["beta"] == agg.get("beta") and "error" not in row
+
+
+def test_failed_sweep_cell_row_names_its_error(monkeypatch):
+    make_singular(monkeypatch, lambda n, seed: n == 16)
+    table = sweep([ExperimentConfig(kind="epsilon", n=n, beta=1.0, trials=2, seed=4)
+                   for n in (16, 32)])
+    failed, ok = json.loads(render_json(table))["rows"]
+    assert list(failed)[-1] == "error"
+    assert failed["error"] == table.cells[0]["error"]
+    assert failed["error"].startswith("NumericalError: trial 0: ")
+    assert (failed["m"], failed["alpha"], failed["beta"], failed["eps"]) == (None,) * 4
+    assert (failed["kind"], failed["n"], failed["seed"]) == ("epsilon", 16, "4")
+    assert "error" not in ok and ok["beta"] == 1.0 and ok["eps"] is not None
 
 
 # --- JSON config ----------------------------------------------------------------

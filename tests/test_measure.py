@@ -9,14 +9,13 @@ from hgc import (
     Seed,
     decompose_gh,
     epsilon_sup,
-    gh_matrices,
     gram_schmidt_couple,
     ks_statistic,
     sample_gaussian,
     summarize,
     truncated_row_norms,
 )
-from hgc.measure import _residual_block
+from hgc.measure import _residual_block, _residual_split
 
 
 def hand_pair():
@@ -27,6 +26,12 @@ def hand_pair():
 
 def random_pair(n, root=31):
     return gram_schmidt_couple(sample_gaussian(n, n, Seed(root, (0,))))
+
+
+def gh_matrices(pair, m):
+    # G = F - H, as decompose_gh forms it
+    f, h = _residual_split(pair, m)
+    return f - h, h
 
 
 # --- truncated_row_norms ----------------------------------------------------
