@@ -184,11 +184,11 @@ def randomized_couple(pair: CoupledPair, m: int, seed: Seed) -> RotatedPair:
     """Right-multiply the first m columns of a coupled pair by V_m.
 
     V_m is ``haar_orthogonal(m, seed)``, Haar on O(m), and m may not
-    exceed the number of columns the pair holds.  Both the Gaussian law of y and the Haar law
-    of u are invariant under the rotation diag(V_m, I), and for every
-    row the Euclidean norm of the first m entries of y - sqrt(n) u is
-    preserved exactly in exact arithmetic.  Only the rotated n x m
-    blocks are returned.
+    exceed the number of columns the pair holds.  Both the Gaussian law
+    of y and the Haar law of u are invariant under the rotation
+    diag(V_m, I), and for every row the Euclidean norm of the first m
+    entries of y - sqrt(n) u is preserved exactly in exact arithmetic.
+    Only the rotated n x m blocks are returned.
     """
     k = pair.u.shape[1]
     if not 1 <= m <= k:
