@@ -334,24 +334,25 @@ def pool_budget(workers: int, trials: int) -> PoolBudget:
     return PoolBudget(min(workers, trials, max(1, cores // threads)), threads, cores)
 
 
-def _check_footprint(n: int, m: int, processes: int) -> None:
-    """Refuse to couple n x m blocks on ``processes`` processes that cannot fit in memory.
+def _check_footprint(n: int, m: int, processes: int, blocks: int = 3) -> None:
+    """Refuse work whose n x m blocks on ``processes`` processes cannot fit in memory.
 
-    Each process holds a block's Y, U and F (or the QR's working copy
-    of Y), three n x m blocks of doubles, at the same time, so 3 n m 8
-    bytes per process is a lower bound on the footprint: work this
-    refuses could not have fit in physical memory.  Where
-    ``os.sysconf`` cannot tell the physical memory, nothing is checked.
+    Each process holds ``blocks`` n x m blocks of doubles at the same
+    time (a trial: its block's Y, U and F, or the QR's working copy of
+    Y), so ``blocks`` n m 8 bytes per process is a lower bound on the
+    footprint: work this refuses could not have fit in physical memory.
+    Where ``os.sysconf`` cannot tell the physical memory, nothing is
+    checked.
     """
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    need = processes * 3 * n * m * 8
+    need = processes * blocks * n * m * 8
     if 0 < physical < need:
         raise ConfigError(
             f"n={n}, m={m} on {processes} process(es) needs at least {need:,} "
-            f"bytes (3 n m 8 per process), more than the {physical:,} bytes of "
+            f"bytes ({blocks} n m 8 per process), more than the {physical:,} bytes of "
             f"physical memory"
         )
 
@@ -461,9 +462,9 @@ BOUND_CHECK_LABELS = (
 )
 
 
-# Trials per batch of the projection group.  Its drawer fills one
-# (125, 256*64 + 256) buffer of 16.6 MB while the caller solves the
-# other, so the group holds two of them.
+# Trials per batch of the projection group.  Batch b draws from its own
+# substream (seed, [2, b]), so the batch size is part of the stream: a
+# different size draws different trials.
 _PROJECTION_BATCH = 125
 # The chi group's vector count, and the vectors per fill of its one
 # reused (1000, 400) buffer.
@@ -474,50 +475,44 @@ _CHI_BATCH = 1_000
 def _bounds_battery(config: ExperimentConfig) -> Report:
     """Empirical frequency vs analytic bound at the standard parameter points.
 
-    Three sampling groups (substreams 0..2 of the root seed): 1e5
-    scalar normals for the Gaussian tail at t = 1; 1e5 Gaussian vectors
-    in R^400 for the norm deviations at eps = 0.2; 1e4 Haar 64-dim
+    Three sampling groups: 1e5 scalar normals for the Gaussian tail at
+    t = 1 on substream (seed, [0]); 1e5 Gaussian vectors in R^400 for
+    the norm deviations at eps = 0.2 on (seed, [1]); 1e4 Haar 64-dim
     subspaces of R^256 for the projection bounds at rho = eps = 0.3 and
-    t = 1.5.
+    t = 1.5, in batches of ``_PROJECTION_BATCH`` trials, batch b on
+    (seed, [2, b]), so the batch size is part of the stream.
 
-    The chi group runs on a worker thread while this thread draws the
-    Gaussian group and solves the projection group (whose own drawer is
-    a second worker, see :func:`_projection_norms`).  numpy's fill
-    releases the GIL, so on two cores the draws overlap the solves.
-    Each group owns its substream and its generator, and each generator
-    is drawn by one thread in the serial order, so every stream and
-    every frequency is that of a serial run; the chi counts are joined
-    before the rows are built, in the serial row order.  A worker's
-    exception is raised here, and both workers are joined before this
-    returns.
+    The chi group and the projection batches run on one thread pool of
+    :func:`_usable_cores` threads while this thread draws the Gaussian
+    group; numpy's fills and LAPACK release the GIL.  Every task owns
+    its substream and the results are read in submission order, so the
+    frequencies do not depend on the thread count.  A task's exception
+    is raised here, and the pool is joined before this returns.
 
     The projection group needs no QR.  For a Gaussian 256 x 64 block
     A = QR, Q^T v = R^-T A^T v, so ||Q^T v||^2 = b^T (A^T A)^-1 b with
-    b = A^T v (Stewart 1980); :func:`_projection_norms` solves these Gram
-    systems for ``_PROJECTION_BATCH`` = 125 trials at a time.  Each trial
-    still draws its block A and then its vector x, in that order, so the
-    stream and the frequencies are those of one QR per trial.
+    b = A^T v (Stewart 1980); :func:`_projection_norms` solves these
+    Gram systems one batch at a time.
     """
     dim, eps = 400, 0.2
-    with ThreadPoolExecutor(max_workers=1) as chi_worker:
-        chi = chi_worker.submit(
+    amb, k, rho, t = 256, 64, 0.3, 1.5
+    trials = 10_000
+    batches = range(math.ceil(trials / _PROJECTION_BATCH))
+    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
+        chi = pool.submit(
             _chi_counts,
             Seed(config.seed, (1,)).generator(),
             dim,
             math.sqrt(dim) * math.sqrt(1.0 - eps),
             math.sqrt(dim) / math.sqrt(1.0 - eps),
         )
+        norms = pool.map(partial(_projection_norms, config.seed, trials=trials, amb=amb, k=k),
+                         batches)
+        z = Seed(config.seed, (0,)).generator().standard_normal(100_000)
+        p_gauss, p_unit = (np.concatenate(batch) for batch in zip(*norms))
+        count_lo, count_hi = chi.result()
 
-        gen = Seed(config.seed, (0,)).generator()
-        z = gen.standard_normal(100_000)
-        lower, upper = theory.gaussian_tail_bounds(1.0)
-
-        gen = Seed(config.seed, (2,)).generator()
-        amb, k, rho, t = 256, 64, 0.3, 1.5
-        trials = 10_000
-        p_gauss, p_unit = _projection_norms(gen, trials, amb, k)
-    count_lo, count_hi = chi.result()
-
+    lower, upper = theory.gaussian_tail_bounds(1.0)
     chi_bound = theory.chi_norm_tail(dim, eps)
     tails = theory.projection_tails(k, amb, rho, t)
     ratio = math.sqrt(k / amb)
@@ -576,53 +571,27 @@ def _chi_counts(gen: np.random.Generator, dim: int, lo: float, hi: float) -> tup
 
 
 def _projection_norms(
-    gen: np.random.Generator, trials: int, amb: int, k: int
+    root: int, b: int, trials: int, amb: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``||Q^T x||`` and ``||Q^T e_1||`` for ``trials`` Haar k-subspaces of R^amb.
+    """``||Q^T x||`` and ``||Q^T e_1||`` for batch b of ``trials`` Haar k-subspaces of R^amb.
 
-    Trial i draws an amb x k Gaussian block A (row-major) and then x in
-    R^amb from ``gen``; Q is an orthonormal basis of A's columns.  Both
-    right-hand sides, A^T x and A^T e_1 (the first row of A), are solved
-    against G = A^T A at once.  A Gaussian block with k = amb / 4 has
-    cond(A) near 3, so G is well conditioned and the norms match an
-    explicit QR to rounding.
-
-    One drawer thread fills batch i + 1 while this thread solves batch
-    i, alternating between two buffers.  The drawer is the only thread
-    that touches ``gen`` and runs its fills in submission order, one
-    batch after the other, so the stream is that of a serial loop and
-    ends exactly after the last trial.  Batch i + 2 is submitted only
-    once batch i's buffer has been read for the last time.  A failed
-    fill is raised here, and the drawer is joined before this returns.
+    Batch b holds the ``_PROJECTION_BATCH`` trials from
+    ``b * _PROJECTION_BATCH`` on, fewer in the last batch, and draws
+    them from substream (root, [2, b]): each trial an amb x k Gaussian
+    block A (row-major) and then x in R^amb; Q is an orthonormal basis
+    of A's columns.  Both right-hand sides, A^T x and A^T e_1 (the first
+    row of A), are solved against G = A^T A at once.  A Gaussian block
+    with k = amb / 4 has cond(A) near 3, so G is well conditioned and
+    the norms match an explicit QR to rounding.
     """
-    p_gauss = np.empty(trials)
-    p_unit = np.empty(trials)
-    starts = range(0, trials, _PROJECTION_BATCH)
-    buffers = np.empty((2, min(_PROJECTION_BATCH, trials), amb * k + amb))
-
-    def draw(i: int) -> np.ndarray:
-        size = min(_PROJECTION_BATCH, trials - starts[i])
-        return gen.standard_normal(out=buffers[i % 2, :size])
-
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        pending = [drawer.submit(draw, i) for i in range(min(2, len(starts)))]
-        for i, start in enumerate(starts):
-            draws = pending[i].result()
-            a = draws[:, : amb * k].reshape(-1, amb, k)
-            x = draws[:, amb * k :, None]
-            a_t = a.transpose(0, 2, 1)
-            # Right-hand sides A^T x and A^T e_1 side by side: (batch, k, 2).
-            rhs = np.concatenate((a_t @ x, a_t[:, :, :1]), axis=2)
-            gram = a_t @ a
-            # The last read of this buffer is done; the drawer may refill it.
-            if i + 2 < len(starts):
-                pending.append(drawer.submit(draw, i + 2))
-            sol = np.linalg.solve(gram, rhs)
-            squares = np.einsum("bki,bki->bi", rhs, sol)
-            stop = start + len(draws)
-            p_gauss[start:stop] = np.sqrt(squares[:, 0])
-            p_unit[start:stop] = np.sqrt(squares[:, 1])
-    return p_gauss, p_unit
+    size = min(_PROJECTION_BATCH, trials - b * _PROJECTION_BATCH)
+    draws = Seed(root, (2, b)).generator().standard_normal((size, amb * k + amb))
+    a = draws[:, : amb * k].reshape(size, amb, k)
+    a_t = a.transpose(0, 2, 1)
+    # Right-hand sides A^T x and A^T e_1 side by side: (size, k, 2).
+    rhs = np.concatenate((a_t @ draws[:, amb * k :, None], a_t[:, :, :1]), axis=2)
+    squares = np.einsum("bki,bki->bi", rhs, np.linalg.solve(a_t @ a, rhs))
+    return np.sqrt(squares[:, 0]), np.sqrt(squares[:, 1])
 
 
 # ---------------------------------------------------------------------------

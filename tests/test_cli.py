@@ -381,9 +381,23 @@ def test_oversized_couple_is_refused_before_it_draws(monkeypatch, capfd):
     assert code == 1
     assert out == ""
     assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
-                          "24,000,000,000,000 bytes")
+                          "40,000,000,000,000 bytes (5 n m 8 per process)")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
+
+
+def test_couple_that_fits_three_blocks_but_not_five_is_refused(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a refused couple drew its sample")
+
+    # 4 MiB of physical memory; an n = 400 square is 1.28 MB, so three
+    # of them fit and the five that the QR holds do not.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}.get)
+    monkeypatch.setattr(cli, "sample_gaussian", no_draw)
+    code, out, err = invoke(["couple", "--n", "400"])
+    assert (code, out) == (1, "")
+    assert err == ("error: n=400, m=400 on 1 process(es) needs at least 6,400,000 bytes "
+                   "(5 n m 8 per process), more than the 4,194,304 bytes of physical memory\n")
 
 
 def test_workers_env_default(monkeypatch):

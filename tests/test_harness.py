@@ -413,9 +413,9 @@ def test_trial_errors_pickle():
 # values; a change to the draw order of any group, to the row order or to
 # a threshold shows here.
 _BATTERY_FREQUENCIES = {
-    0: (0.16052, 0.83948, 0.00053, 0.00131, 0.013, 0.0302, 0.0, 0.0002, 0.0),
-    7: (0.15861, 0.84139, 0.0005, 0.00128, 0.0151, 0.0333, 0.0, 0.0001, 0.0),
-    100: (0.15893, 0.84107, 0.0006, 0.00126, 0.0141, 0.033, 0.0, 0.0001, 0.0),
+    0: (0.16052, 0.83948, 0.00053, 0.00131, 0.0134, 0.035, 0.0, 0.0001, 0.0),
+    7: (0.15861, 0.84139, 0.0005, 0.00128, 0.0134, 0.0328, 0.0, 0.0003, 0.0),
+    100: (0.15893, 0.84107, 0.0006, 0.00126, 0.0152, 0.0375, 0.0, 0.0001, 0.0),
 }
 
 
@@ -423,7 +423,7 @@ def test_bounds_battery_dominates():
     threads = threading.active_count()
     for seed, frequencies in _BATTERY_FREQUENCIES.items():
         report = run(ExperimentConfig(kind="bounds-check", n=1, seed=seed))
-        # The chi worker and the projection drawer are joined before run returns.
+        # The battery's thread pool is joined before run returns.
         assert threading.active_count() == threads
         rows = [r.rows[0] for r in report.results]
         checks = report.aggregate["checks"]
@@ -438,56 +438,46 @@ def test_bounds_battery_dominates():
         assert tuple(row["sup_F"] for row in rows) == frequencies, f"seed {seed}"
 
 
-class _FailingGenerator:
-    """A generator whose third ``standard_normal`` fill raises."""
-
-    def __init__(self, gen):
-        self.gen = gen
-        self.calls = 0
-
-    def standard_normal(self, *, out):
-        self.calls += 1
-        if self.calls == 3:
-            raise RuntimeError("fill 3 failed")
-        return self.gen.standard_normal(out=out)
+def test_bounds_battery_does_not_depend_on_the_thread_count(monkeypatch):
+    config = ExperimentConfig(kind="bounds-check", n=1, seed=0)
+    csvs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(harness, "_usable_cores", lambda cores=cores: cores)
+        csvs.append(render_csv(run(config)))
+    assert csvs[0] == csvs[1]
 
 
-def test_projection_drawer_failure_reaches_the_caller():
+def test_failed_projection_batch_reaches_the_caller(monkeypatch):
     threads = threading.active_count()
-    gen = _FailingGenerator(Seed(5, (2,)).generator())
-    raised = []
+    projection_norms = harness._projection_norms
 
-    def call():
-        try:
-            _projection_norms(gen, 5 * _PROJECTION_BATCH, 32, 8)
-        except RuntimeError as exc:
-            raised.append(exc)
+    def fail_batch_3(root, b, **sizes):
+        if b == 3:
+            raise RuntimeError("batch 3 failed")
+        return projection_norms(root, b, **sizes)
 
-    caller = threading.Thread(target=call)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive(), "_projection_norms hung after a failed fill"
-    assert [str(exc) for exc in raised] == ["fill 3 failed"]
+    monkeypatch.setattr(harness, "_projection_norms", fail_batch_3)
+    with pytest.raises(RuntimeError, match="batch 3 failed"):
+        run(ExperimentConfig(kind="bounds-check", n=1, seed=5))
     assert threading.active_count() == threads
 
 
 def test_projection_norms_match_qr_loop():
     amb, k, trials = 256, 64, 300
     assert trials % _PROJECTION_BATCH != 0  # a partial last batch runs too
-    batched_gen = Seed(5, (2,)).generator()
-    p_gauss, p_unit = _projection_norms(batched_gen, trials, amb, k)
+    for b, start in enumerate(range(0, trials, _PROJECTION_BATCH)):
+        p_gauss, p_unit = _projection_norms(5, b, trials, amb, k)
 
-    loop_gen = Seed(5, (2,)).generator()
-    want_gauss, want_unit = np.empty(trials), np.empty(trials)
-    for i in range(trials):
-        q = np.linalg.qr(loop_gen.standard_normal((amb, k)))[0]
-        x = loop_gen.standard_normal(amb)
-        want_gauss[i] = np.linalg.norm(q.T @ x)
-        want_unit[i] = np.linalg.norm(q[0, :])
-    np.testing.assert_allclose(p_gauss, want_gauss, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(p_unit, want_unit, rtol=1e-12, atol=0)
-    # both generators consumed the same draws
-    assert batched_gen.standard_normal() == loop_gen.standard_normal()
+        gen = Seed(5, (2, b)).generator()
+        size = min(_PROJECTION_BATCH, trials - start)
+        want_gauss, want_unit = np.empty(size), np.empty(size)
+        for i in range(size):
+            q = np.linalg.qr(gen.standard_normal((amb, k)))[0]
+            x = gen.standard_normal(amb)
+            want_gauss[i] = np.linalg.norm(q.T @ x)
+            want_unit[i] = np.linalg.norm(q[0, :])
+        np.testing.assert_allclose(p_gauss, want_gauss, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p_unit, want_unit, rtol=1e-12, atol=0)
 
 
 # --- sweep ---------------------------------------------------------------------
