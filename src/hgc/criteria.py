@@ -10,7 +10,7 @@ it runs at; a clause that compares sizes is vacuous when its scale lists
 one size.
 
 ``full`` is the stated scale, which ``tests/test_acceptance.py`` runs.
-``reduced`` (n <= 512) is what ``hgc selftest`` runs, in about 4 to 5
+``reduced`` (n <= 512) is what ``hgc selftest`` runs, in about 2
 seconds on two cores with OpenBLAS; its concentration windows are wider,
 to match the larger finite-size corrections at that scale.  Criteria 03
 and 05 have no reduced scale: their claims are about large n.

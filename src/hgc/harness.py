@@ -39,9 +39,10 @@ bounds-check     fixed battery of tail-bound dominance checks (see
                  name each bound; ``trials`` is ignored
 
 Every matrix kind samples and couples only the n x m block of Y, the
-columns its statistics read; borel draws n x 1.  The block is bitwise
-the first m columns of the square the same trial seed draws (see
-:mod:`hgc.rng`).
+columns its statistics read.  Borel draws one column y_1 whatever m is,
+and couples nothing: sqrt(n) u_11 = sqrt(n) y_11 / ||y_1||.  The block
+is bitwise the first m columns of the square the same trial seed draws
+(see :mod:`hgc.rng`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -71,7 +72,6 @@ from .errors import (
 from .measure import (
     PLAIN_GS,
     RANDOMIZED,
-    _row_norms_in_place,
     decompose_gh,
     epsilon_sup,
     ks_statistic,
@@ -227,8 +227,7 @@ def run(config: ExperimentConfig) -> Report:
     """
     if config.kind == "bounds-check":
         return _bounds_battery(config)
-    processes = pool_budget(config.workers, config.trials).processes
-    _check_footprint(config.n, config.resolved_m(), processes)
+    processes = _check_fits(config)
     results = []
     with _trial_map(processes, config.trials) as trial_map:
         try:
@@ -244,11 +243,15 @@ def sweep(configs) -> SweepTable:
 
     Every config is valid by construction, so what a cell records is a
     failure of its run (a numerical failure, for one); an invalid cell
-    never reaches the grid.
+    never reaches the grid.  A grid with a cell whose blocks cannot fit
+    in memory is refused with a :class:`ConfigError` before the first
+    cell draws.
     """
     configs = list(configs)
     if not configs:
         raise ConfigError("empty sweep grid")
+    for cfg in configs:
+        _check_fits(cfg)
     cells = []
     for cfg in configs:
         try:
@@ -357,6 +360,18 @@ def _check_footprint(n: int, m: int, processes: int, blocks: int = 3) -> None:
         )
 
 
+def _drawn_columns(config: ExperimentConfig) -> int:
+    """The columns of Y a trial of ``config`` draws: one for borel, else m."""
+    return 1 if config.kind == "borel" else config.resolved_m()
+
+
+def _check_fits(config: ExperimentConfig) -> int:
+    """The processes a run of ``config`` forks; refuses one that cannot fit in memory."""
+    processes = pool_budget(config.workers, config.trials).processes
+    _check_footprint(config.n, _drawn_columns(config), processes)
+    return processes
+
+
 @contextmanager
 def _trial_map(processes: int, trials: int):
     """An ordered ``map`` over ``trials`` trials on ``processes`` processes.
@@ -393,18 +408,24 @@ def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:
 
 def _trial(config: ExperimentConfig, t: int) -> TrialResult:
     n = config.n
-    m = config.resolved_m()
     trial_seed = Seed(config.seed, (t,))
-    pair = gram_schmidt_couple(sample_gaussian(n, m, trial_seed))
+    y = sample_gaussian(n, _drawn_columns(config), trial_seed)
+    if config.kind == "borel":
+        # Column 1 of U is column 1 of Y normalized, so sqrt(n) u_11 needs
+        # no coupling.  numpy's pairwise sum, unlike a BLAS dot, does not
+        # depend on the thread count.
+        u_11 = y[0, 0] / math.sqrt(float(np.square(y).sum()))
+        return TrialResult(trial=t, seed=trial_seed,
+                           rows=({"mean_F": float(math.sqrt(n) * u_11)},))
+    m = y.shape[1]
+    pair = gram_schmidt_couple(y)
 
     # The rotation diag(V_m, I) maps F to F V_m, which keeps every row
     # norm, every G/H norm and every cross term <G_i, H_i>: of all the
     # statistics only eps sees it.  So every kind reads its row
     # statistics off the plain pair, and V_m is drawn only for the eps
     # of a row of the randomized coupling.
-    if config.kind == "borel":
-        rows = ({"mean_F": float(math.sqrt(n) * pair.u[0, 0])},)
-    elif config.kind == "gh-split":
+    if config.kind == "gh-split":
         deco = decompose_gh(pair, m)
         row = _row_norm_columns(deco.f_norms, n, m)
         row.update(
@@ -462,76 +483,48 @@ BOUND_CHECK_LABELS = (
 )
 
 
-# Trials per batch of the projection group.  Batch b draws from its own
-# substream (seed, [2, b]), so the batch size is part of the stream: a
-# different size draws different trials.
-_PROJECTION_BATCH = 125
-# The chi group's vector count, and the vectors per fill of its one
-# reused (1000, 400) buffer.
-_CHI_TOTAL = 100_000
-_CHI_BATCH = 1_000
-
-
 def _bounds_battery(config: ExperimentConfig) -> Report:
     """Empirical frequency vs analytic bound at the standard parameter points.
 
-    Three sampling groups: 1e5 scalar normals for the Gaussian tail at
-    t = 1 on substream (seed, [0]); 1e5 Gaussian vectors in R^400 for
-    the norm deviations at eps = 0.2 on (seed, [1]); 1e4 Haar 64-dim
-    subspaces of R^256 for the projection bounds at rho = eps = 0.3 and
-    t = 1.5, in batches of ``_PROJECTION_BATCH`` trials, batch b on
-    (seed, [2, b]), so the batch size is part of the stream.
-
-    The chi group and the projection batches run on one thread pool of
-    :func:`_usable_cores` threads while this thread draws the Gaussian
-    group; numpy's fills and LAPACK release the GIL.  Every task owns
-    its substream and the results are read in submission order, so the
-    frequencies do not depend on the thread count.  A task's exception
-    is raised here, and the pool is joined before this returns.
-
-    The projection group needs no QR.  For a Gaussian 256 x 64 block
-    A = QR, Q^T v = R^-T A^T v, so ||Q^T v||^2 = b^T (A^T A)^-1 b with
-    b = A^T v (Stewart 1980); :func:`_projection_norms` solves these
-    Gram systems one batch at a time.
+    Each group draws the norms it measures from their exact laws, on its
+    own substream.  The Gaussian tail at t = 1 reads 1e5 scalar normals
+    on (seed, [0]).  The norm deviations at eps = 0.2 read 1e5 norms of
+    Gaussian vectors x in R^400, ||x||^2 ~ chi2(400), on (seed, [1]).
+    The projection bounds at rho = eps = 0.3 and t = 1.5 read 1e4
+    projections onto Haar 64-dim subspaces L of R^256, on (seed, [2]):
+    first the norms ||P_L x||, with ||P_L x||^2 ~ chi2(64) since
+    P_L x ~ N(0, P_L), then the norms ||P_L e_1||, with
+    ||P_L e_1||^2 ~ Beta(32, 96) (Dasgupta & Gupta 2003).
     """
     dim, eps = 400, 0.2
     amb, k, rho, t = 256, 64, 0.3, 1.5
-    trials = 10_000
-    batches = range(math.ceil(trials / _PROJECTION_BATCH))
-    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        chi = pool.submit(
-            _chi_counts,
-            Seed(config.seed, (1,)).generator(),
-            dim,
-            math.sqrt(dim) * math.sqrt(1.0 - eps),
-            math.sqrt(dim) / math.sqrt(1.0 - eps),
-        )
-        norms = pool.map(partial(_projection_norms, config.seed, trials=trials, amb=amb, k=k),
-                         batches)
-        z = Seed(config.seed, (0,)).generator().standard_normal(100_000)
-        p_gauss, p_unit = (np.concatenate(batch) for batch in zip(*norms))
-        count_lo, count_hi = chi.result()
+    samples, trials = 100_000, 10_000
+    z = Seed(config.seed, (0,)).generator().standard_normal(samples)
+    chi = np.sqrt(Seed(config.seed, (1,)).generator().chisquare(dim, samples))
+    projections = Seed(config.seed, (2,)).generator()
+    p_gauss = np.sqrt(projections.chisquare(k, trials))
+    p_unit = np.sqrt(projections.beta(k / 2, (amb - k) / 2, trials))
 
     lower, upper = theory.gaussian_tail_bounds(1.0)
     chi_bound = theory.chi_norm_tail(dim, eps)
     tails = theory.projection_tails(k, amb, rho, t)
     ratio = math.sqrt(k / amb)
-    gauss_hi = int((p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho)).sum())
-    gauss_lo = int((p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho)).sum())
-    unit_hi = int((p_unit >= ratio / (1.0 - rho)).sum())
-    unit_lo = int((p_unit <= ratio * (1.0 - rho)).sum())
-    unit_t = int((p_unit >= t * ratio).sum())
-    checks = [
-        ("gauss-tail-upper", 1, None, float(np.mean(z > 1.0)), upper),
-        ("gauss-tail-complement", 1, None, float(np.mean(z <= 1.0)), 1.0 - lower),
-        ("chi-upper", dim, None, count_hi / _CHI_TOTAL, chi_bound),
-        ("chi-lower", dim, None, count_lo / _CHI_TOTAL, chi_bound),
-        ("proj-gauss-upper", amb, k, gauss_hi / trials, tails.gaussian_upper),
-        ("proj-gauss-lower", amb, k, gauss_lo / trials, tails.gaussian_lower),
-        ("proj-unit-upper", amb, k, unit_hi / trials, tails.unit_upper),
-        ("proj-unit-lower", amb, k, unit_lo / trials, tails.unit_lower),
-        ("proj-unit-t", amb, k, unit_t / trials, tails.unit_t),
+    # (label, row n, row m, the draws that hit the event, bound)
+    events = [
+        ("gauss-tail-upper", 1, None, z > 1.0, upper),
+        ("gauss-tail-complement", 1, None, z <= 1.0, 1.0 - lower),
+        ("chi-upper", dim, None, chi >= math.sqrt(dim) / math.sqrt(1.0 - eps), chi_bound),
+        ("chi-lower", dim, None, chi <= math.sqrt(dim) * math.sqrt(1.0 - eps), chi_bound),
+        ("proj-gauss-upper", amb, k, p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho),
+         tails.gaussian_upper),
+        ("proj-gauss-lower", amb, k, p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho),
+         tails.gaussian_lower),
+        ("proj-unit-upper", amb, k, p_unit >= ratio / (1.0 - rho), tails.unit_upper),
+        ("proj-unit-lower", amb, k, p_unit <= ratio * (1.0 - rho), tails.unit_lower),
+        ("proj-unit-t", amb, k, p_unit >= t * ratio, tails.unit_t),
     ]
+    checks = [(label, row_n, row_m, float(np.mean(hits)), bnd)
+              for label, row_n, row_m, hits, bnd in events]
 
     results = [
         TrialResult(trial=i, seed=Seed(config.seed, (min(i // 2, 2),)), rows=(
@@ -551,47 +544,6 @@ def _bounds_battery(config: ExperimentConfig) -> Report:
         "all_dominated": all(freq <= bnd for _, _, _, freq, bnd in checks),
     }
     return Report(config=config, results=results, aggregate=aggregate)
-
-
-def _chi_counts(gen: np.random.Generator, dim: int, lo: float, hi: float) -> tuple[int, int]:
-    """How many of ``_CHI_TOTAL`` Gaussian vectors in R^dim have norm <= lo, >= hi.
-
-    The vectors are drawn ``_CHI_BATCH`` at a time into one reused
-    buffer.  Consecutive fills continue one stream, so the vectors are
-    bitwise those of a single draw, and :func:`_row_norms_in_place` is
-    bitwise ``np.linalg.norm(..., axis=1)``.
-    """
-    buf = np.empty((_CHI_BATCH, dim))
-    count_lo = count_hi = 0
-    for _ in range(_CHI_TOTAL // _CHI_BATCH):
-        norms = _row_norms_in_place(gen.standard_normal(out=buf))
-        count_lo += int((norms <= lo).sum())
-        count_hi += int((norms >= hi).sum())
-    return count_lo, count_hi
-
-
-def _projection_norms(
-    root: int, b: int, trials: int, amb: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``||Q^T x||`` and ``||Q^T e_1||`` for batch b of ``trials`` Haar k-subspaces of R^amb.
-
-    Batch b holds the ``_PROJECTION_BATCH`` trials from
-    ``b * _PROJECTION_BATCH`` on, fewer in the last batch, and draws
-    them from substream (root, [2, b]): each trial an amb x k Gaussian
-    block A (row-major) and then x in R^amb; Q is an orthonormal basis
-    of A's columns.  Both right-hand sides, A^T x and A^T e_1 (the first
-    row of A), are solved against G = A^T A at once.  A Gaussian block
-    with k = amb / 4 has cond(A) near 3, so G is well conditioned and
-    the norms match an explicit QR to rounding.
-    """
-    size = min(_PROJECTION_BATCH, trials - b * _PROJECTION_BATCH)
-    draws = Seed(root, (2, b)).generator().standard_normal((size, amb * k + amb))
-    a = draws[:, : amb * k].reshape(size, amb, k)
-    a_t = a.transpose(0, 2, 1)
-    # Right-hand sides A^T x and A^T e_1 side by side: (size, k, 2).
-    rhs = np.concatenate((a_t @ draws[:, amb * k :, None], a_t[:, :, :1]), axis=2)
-    squares = np.einsum("bki,bki->bi", rhs, np.linalg.solve(a_t @ a, rhs))
-    return np.sqrt(squares[:, 0]), np.sqrt(squares[:, 1])
 
 
 # ---------------------------------------------------------------------------

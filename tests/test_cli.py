@@ -160,6 +160,18 @@ def test_sweep_with_an_invalid_cell_runs_no_cell(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_with_a_cell_too_big_for_memory_draws_nothing(monkeypatch, tmp_path):
+    drawn = []
+    monkeypatch.setattr(harness, "sample_gaussian", lambda *args: drawn.append(args))
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = invoke(["sweep", "--n", "256,2000000", "--alpha", "1", "--workers", "1",
+                                "--out", str(out)])
+    assert (code, stdout, drawn) == (1, "", [])
+    assert err.startswith("error: n=2000000, m=2000000 on 1 process(es) needs at least ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_config_file_runs(tmp_path):
     cfg = tmp_path / "run.json"
     out = tmp_path / "out.csv"

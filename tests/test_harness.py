@@ -1,11 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
-import threading
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
@@ -34,10 +34,8 @@ from hgc import (
     sweep,
 )
 from hgc.harness import (
-    _PROJECTION_BATCH,
     BOUND_CHECK_LABELS,
     CSV_HEADER,
-    _projection_norms,
     render_csv,
     render_json,
     render_svg,
@@ -281,6 +279,9 @@ def test_footprint_is_not_checked_without_sysconf_names(monkeypatch):
         ("coupling-compare", dict(beta=1.0), (64, 15)),
         ("row-norms", dict(alpha=1.0), (64, 64)),
         ("borel", {}, (64, 1)),
+        # Borel reads one column whatever m is.
+        ("borel", dict(m=5), (64, 1)),
+        ("borel", dict(alpha=1.0), (64, 1)),
     ],
 )
 def test_each_trial_draws_only_the_block_it_reads(monkeypatch, kind, size, shape):
@@ -371,6 +372,25 @@ def test_borel_kind_pools_entries():
     assert report.aggregate["borel"]["mean"] == pytest.approx(np.mean(entries))
 
 
+@pytest.mark.parametrize("n", [4, 64, 512])
+def test_borel_entry_is_the_coupled_u_11(n):
+    # sqrt(n) y_11 / ||y_1|| is sqrt(n) u_11 of the column's coupling, to rounding.
+    report = run(ExperimentConfig(kind="borel", n=n, trials=20, seed=2))
+    for r in report.results:
+        want = math.sqrt(n) * gram_schmidt_couple(sample_gaussian(n, 1, r.seed)).u[0, 0]
+        assert r.rows[0]["mean_F"] == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_borel_footprint_counts_one_column(monkeypatch):
+    # 4 MiB of physical memory: three 1000 x 1000 blocks do not fit, one
+    # column does.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}.get)
+    report = run(ExperimentConfig(kind="borel", n=1000, alpha=1.0, trials=2, seed=1))
+    assert len(report.results) == 2
+    with pytest.raises(ConfigError, match=r"^n=1000, m=1000 on 1 process"):
+        run(ExperimentConfig(kind="row-norms", n=1000, alpha=1.0, trials=2, seed=1))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_degenerate_trial_reports_index(monkeypatch, two_pool_processes, workers):
     # With workers=2 the trials run in forked pool workers, which inherit
@@ -413,18 +433,15 @@ def test_trial_errors_pickle():
 # values; a change to the draw order of any group, to the row order or to
 # a threshold shows here.
 _BATTERY_FREQUENCIES = {
-    0: (0.16052, 0.83948, 0.00053, 0.00131, 0.0134, 0.035, 0.0, 0.0001, 0.0),
-    7: (0.15861, 0.84139, 0.0005, 0.00128, 0.0134, 0.0328, 0.0, 0.0003, 0.0),
-    100: (0.15893, 0.84107, 0.0006, 0.00126, 0.0152, 0.0375, 0.0, 0.0001, 0.0),
+    0: (0.16052, 0.83948, 0.00044, 0.00129, 0.0114, 0.0365, 0.0, 0.0001, 0.0),
+    7: (0.15861, 0.84139, 0.00058, 0.0013, 0.0153, 0.0312, 0.0, 0.0, 0.0),
+    100: (0.15893, 0.84107, 0.00043, 0.00109, 0.0142, 0.0323, 0.0, 0.0003, 0.0),
 }
 
 
 def test_bounds_battery_dominates():
-    threads = threading.active_count()
     for seed, frequencies in _BATTERY_FREQUENCIES.items():
         report = run(ExperimentConfig(kind="bounds-check", n=1, seed=seed))
-        # The battery's thread pool is joined before run returns.
-        assert threading.active_count() == threads
         rows = [r.rows[0] for r in report.results]
         checks = report.aggregate["checks"]
         assert [check["label"] for check in checks] == list(BOUND_CHECK_LABELS)
@@ -438,46 +455,34 @@ def test_bounds_battery_dominates():
         assert tuple(row["sup_F"] for row in rows) == frequencies, f"seed {seed}"
 
 
-def test_bounds_battery_does_not_depend_on_the_thread_count(monkeypatch):
-    config = ExperimentConfig(kind="bounds-check", n=1, seed=0)
-    csvs = []
-    for cores in (1, 3):
-        monkeypatch.setattr(harness, "_usable_cores", lambda cores=cores: cores)
-        csvs.append(render_csv(run(config)))
-    assert csvs[0] == csvs[1]
-
-
-def test_failed_projection_batch_reaches_the_caller(monkeypatch):
-    threads = threading.active_count()
-    projection_norms = harness._projection_norms
-
-    def fail_batch_3(root, b, **sizes):
-        if b == 3:
-            raise RuntimeError("batch 3 failed")
-        return projection_norms(root, b, **sizes)
-
-    monkeypatch.setattr(harness, "_projection_norms", fail_batch_3)
-    with pytest.raises(RuntimeError, match="batch 3 failed"):
-        run(ExperimentConfig(kind="bounds-check", n=1, seed=5))
-    assert threading.active_count() == threads
+def _ks_two_sample(a, b):
+    """The two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate((a, b))
+    return float(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                        - np.searchsorted(b, grid, side="right") / b.size).max())
 
 
 def test_projection_norms_match_qr_loop():
-    amb, k, trials = 256, 64, 300
-    assert trials % _PROJECTION_BATCH != 0  # a partial last batch runs too
-    for b, start in enumerate(range(0, trials, _PROJECTION_BATCH)):
-        p_gauss, p_unit = _projection_norms(5, b, trials, amb, k)
+    # The battery draws ||Q^T x||^2 ~ chi2(k) and ||Q^T e_1||^2 ~
+    # Beta(k/2, (amb-k)/2) from their laws; an explicit QR of Gaussian
+    # blocks must agree with those draws in law.  At size draws a side,
+    # the two-sample KS distance exceeds c sqrt(2 / size) with
+    # c = sqrt(-ln(alpha / 2) / 2) with probability at most alpha = 0.001.
+    amb, k, size = 256, 64, 2_000
+    gen = Seed(5, (9,)).generator()
+    qr_gauss, qr_unit = np.empty(size), np.empty(size)
+    for i in range(size):
+        q = np.linalg.qr(gen.standard_normal((amb, k)))[0]
+        qr_gauss[i] = np.sum((q.T @ gen.standard_normal(amb)) ** 2)
+        qr_unit[i] = np.sum(q[0, :] ** 2)
+    law = Seed(5, (2,)).generator()
+    law_gauss = law.chisquare(k, size)
+    law_unit = law.beta(k / 2, (amb - k) / 2, size)
 
-        gen = Seed(5, (2, b)).generator()
-        size = min(_PROJECTION_BATCH, trials - start)
-        want_gauss, want_unit = np.empty(size), np.empty(size)
-        for i in range(size):
-            q = np.linalg.qr(gen.standard_normal((amb, k)))[0]
-            x = gen.standard_normal(amb)
-            want_gauss[i] = np.linalg.norm(q.T @ x)
-            want_unit[i] = np.linalg.norm(q[0, :])
-        np.testing.assert_allclose(p_gauss, want_gauss, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(p_unit, want_unit, rtol=1e-12, atol=0)
+    critical = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / size)
+    assert _ks_two_sample(qr_gauss, law_gauss) < critical
+    assert _ks_two_sample(qr_unit, law_unit) < critical
 
 
 # --- sweep ---------------------------------------------------------------------
