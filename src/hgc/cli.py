@@ -184,10 +184,14 @@ def _experiment(ns: argparse.Namespace, kind: str, n: int, **output) -> Experime
 
 
 def _note_budget(config: ExperimentConfig) -> None:
-    """Say on stderr when the cores hold fewer processes than --workers asks for."""
+    """Say on stderr when the cores hold fewer processes than --workers asks for.
+
+    The bound battery runs in this process whatever --workers asks, so
+    it gets no note.
+    """
     asked = min(config.workers, config.trials)
     budget = pool_budget(config.workers, config.trials)
-    if budget.processes == asked:
+    if config.kind == "bounds-check" or budget.processes == asked:
         return
     note = (f"hgc: --workers {config.workers} runs as {budget.processes} "
             f"process{'es' if budget.processes > 1 else ''}: OpenBLAS uses "

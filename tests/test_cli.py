@@ -363,6 +363,18 @@ def test_capped_workers_write_the_serial_csv_and_one_note(monkeypatch, tmp_path)
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
+def test_bounds_check_config_notes_no_pool(monkeypatch, tmp_path):
+    # The battery never forks, so a capped --workers has nothing to say.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    cfg = tmp_path / "b.json"
+    cfg.write_text('{"kind": "bounds-check", "n": 1, "workers": 2, "trials": 4}')
+    code, stdout, err = invoke(["--config", str(cfg)])
+    assert code == 0
+    assert stdout.startswith("bounds-check: n=1 ")
+    assert err == ""
+
+
 def test_workers_beyond_the_cores_note_the_core_cap(two_pool_processes):
     code, _, err = invoke(["borel", "--n", "16", "--trials", "12", "--workers", "4"])
     assert code == 0

@@ -214,12 +214,12 @@ def test_repeated_column_in_tall_block_named():
     assert err.value.column == 30
 
 
-@pytest.mark.parametrize("cond", [1e6, 1e9])
+@pytest.mark.parametrize("cond", [1e4, 1e6, 1e9])
 def test_ill_conditioned_tall_block_falls_back_to_householder(cond):
     # singular values from 1e4 down to 1e4 / cond behind a Haar rotation
-    # of the columns, every r_j far above 1e-8 sqrt(n).  At 1e6 Cholesky
-    # succeeds and only the check on Q_1^T Q_1 sends the block back; at
-    # 1e9 the Gram matrix is past what Cholesky can factor.
+    # of the columns, every r_j far above 1e-8 sqrt(n).  At 1e4 and 1e6
+    # Cholesky succeeds and only the check on U^T U sends the block back;
+    # at 1e9 the Gram matrix is past what Cholesky can factor.
     n, k = 400, 50
     q, _ = np.linalg.qr(sample_gaussian(n, k, Seed(24, (0,))))
     s = np.logspace(4, 4 - math.log10(cond), k)
@@ -239,3 +239,5 @@ def test_column_scaling_keeps_tall_block_on_cholesky_path():
     y = sample_gaussian(400, 50, Seed(25, (0,)))
     scaled = gram_schmidt_couple(y * np.logspace(0, 9, 50))
     assert np.abs(scaled.u - gram_schmidt_couple(y).u).max() <= 1e-13
+    # the Cholesky path returns u Fortran-ordered, Householder C-ordered
+    assert scaled.u.flags.f_contiguous
