@@ -164,18 +164,22 @@ class ExperimentConfig:
 
     def resolved_m(self) -> int:
         """Truncation size: m, floor(alpha n), or floor(beta n / ln n)."""
-        if self.m is not None:
-            m = self.m
-        elif self.alpha is not None:
-            if not 0.0 < self.alpha <= 1.0:
-                raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-            m = math.floor(self.alpha * self.n)
-        else:
-            if not 0.0 < self.beta < math.inf:
-                raise ConfigError(f"beta must be positive and finite, got {self.beta}")
-            if self.n < 2:
-                raise ConfigError("beta sizing needs n >= 2")
-            m = math.floor(self.beta * self.n / math.log(self.n))
+        try:
+            if self.m is not None:
+                m = self.m
+            elif self.alpha is not None:
+                if not 0.0 < self.alpha <= 1.0:
+                    raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
+                m = math.floor(self.alpha * self.n)
+            else:
+                if not 0.0 < self.beta < math.inf:
+                    raise ConfigError(f"beta must be positive and finite, got {self.beta}")
+                if self.n < 2:
+                    raise ConfigError("beta sizing needs n >= 2")
+                m = math.floor(self.beta * self.n / math.log(self.n))
+        except OverflowError:
+            size = f"alpha={self.alpha}" if self.alpha is not None else f"beta={self.beta}"
+            raise ConfigError(f"n={self.n}, {size}: m is beyond float range") from None
         if not 1 <= m <= self.n:
             raise ConfigError(f"resolved m={m} outside [1, {self.n}]")
         return m
@@ -750,15 +754,12 @@ def render_svg(report) -> str:
 
 def config_from_json(source) -> ExperimentConfig:
     """Build a config from the JSON schema (text, file object, or dict)."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-    else:
-        data = source
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        data = json.loads(source) if isinstance(source, str) else source
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"invalid JSON config: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("JSON config must be an object")
     # The accepted keys are the config fields, which render_json emits.

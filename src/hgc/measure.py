@@ -50,16 +50,15 @@ def truncated_row_norms(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
 def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
     """Row-wise norms and cross terms of the F = G + H split.
 
-    F is formed once: its row norms are read, then H is subtracted in
-    place to give G = F - H.  The cross terms are read before G and H
-    are squared in place for their norms.
+    F and H are formed once, and G = F - H in its own buffer; the cross
+    terms <G_i, H_i> are read first.  Then each of the three blocks is
+    squared in place for its row norms, so no fourth n x m block is made.
     """
     f, h = _residual_split(pair, m)
-    f_norms = np.linalg.norm(f, axis=1)
-    g = np.subtract(f, h, out=f)
+    g = f - h
     cross = np.einsum("ij,ij->i", g, h)
     return RowBlockDecomposition(
-        f_norms=f_norms,
+        f_norms=_row_norms_in_place(f),
         g_norms=_row_norms_in_place(g),
         h_norms=_row_norms_in_place(h),
         cross=cross,

@@ -245,6 +245,40 @@ def test_non_finite_argument_exits_1(tmp_path, argv, message):
     assert "Traceback" not in err
 
 
+HUGE_N = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["epsilon", "--n", "8", "--beta", "1e308"], "n=8, beta=1e+308: m is beyond float range"),
+        (["rownorms", "--n", HUGE_N, "--alpha", "0.5"],
+         f"n={HUGE_N}, alpha=0.5: m is beyond float range"),
+        (["sweep", "--n", "8,16", "--beta", "1e308"],
+         "n=8: n=8, beta=1e+308: m is beyond float range"),
+        (["bounds", "--n", HUGE_N, "--eps", "0.5"], "n must lie in [1, 1.79769e+308], got "),
+        (["bounds", "--n", HUGE_N, "--m", HUGE_N], "n must lie in [1, 1.79769e+308], got "),
+    ],
+    ids=["epsilon-beta", "rownorms-n", "sweep-beta", "bounds-eps", "bounds-envelope"],
+)
+def test_size_beyond_float_range_exits_1(argv, message):
+    code, stdout, err = invoke(argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_config_file_not_in_utf8_exits_1(tmp_path):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    code, stdout, err = invoke(["--config", str(cfg)])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: invalid JSON config: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
 def test_io_error_exit_3(tmp_path):
     code, _, err = invoke(
         ["rownorms", "--n", "16", "--alpha", "1.0", "--trials", "1",

@@ -95,6 +95,11 @@ def test_config_validation_errors():
         ExperimentConfig(kind="row-norms", n=8, alpha=0.01)  # floor(0.08) = 0
     with pytest.raises(ConfigError):
         run(ExperimentConfig(kind="sweep", n=8, m=2))
+    # alpha n or beta n / ln n would overflow a float on its way to m
+    for size in ({"n": 8, "beta": 1e308}, {"n": 10**400, "alpha": 0.5},
+                 {"n": 10**400, "beta": 1.0}):
+        with pytest.raises(ConfigError, match=r"^n=\d+, (alpha|beta)=.*: m is beyond float range$"):
+            ExperimentConfig(kind="epsilon", **size)
 
 
 @pytest.mark.parametrize(

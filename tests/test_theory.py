@@ -17,14 +17,16 @@ from hgc import (
     projection_tails,
     sphere_sup_threshold,
 )
-from hgc.theory import SERIES_SWITCH, kolmogorov_pvalue
+from hgc.theory import kolmogorov_pvalue
 
 mpmath.mp.dps = 50
 
 
 def phi_mp(alpha):
+    # the closed form cancels twice, each time about -log10(alpha) digits
     a = mpmath.mpf(alpha)
-    return 2 - mpmath.mpf(4) / 3 * (1 - (1 - a) ** mpmath.mpf(1.5)) / a
+    with mpmath.extradps(2 * max(0, int(-mpmath.log10(a)))):
+        return +(2 - mpmath.mpf(4) / 3 * (1 - (1 - a) ** mpmath.mpf(1.5)) / a)
 
 
 def series3_mp(alpha):
@@ -45,7 +47,8 @@ def test_phi_at_half():
 
 
 def test_phi_small_alpha_series_branch():
-    # below the switch the implementation is the three-term series;
+    # at small alpha the closed form matches the three-term series
+    # alpha/2 + alpha^2/12 + alpha^3/32, whose remainder is alpha^4/64;
     # the two-term value differs by alpha^2/16 relative, consistent
     # with the O(alpha^3) remainder of the expansion
     a = 1e-6
@@ -54,12 +57,6 @@ def test_phi_small_alpha_series_branch():
     two = a / 2 + a * a / 12
     assert abs(phi(a) - two) / phi(a) <= a * a / 16 * 1.01
     assert abs(phi(a) - two) <= a**3
-
-
-def test_phi_branch_continuity_at_switch():
-    a = SERIES_SWITCH
-    series = a / 2 + a * a / 12 + a**3 / 32
-    assert abs(phi(a) - series) / phi(a) <= 1e-12
 
 
 def test_phi_monotone_on_grid():
@@ -87,13 +84,16 @@ def test_phi_domain():
 
 
 def test_phi_vs_high_precision_oracle():
+    # the dense band below 1e-4 is where a three-term series would miss
+    # by its alpha^4/64 remainder, up to 3.1e-14 relative
     rng = np.random.default_rng(1)
     alphas = np.concatenate(
-        [10 ** rng.uniform(-6, 0, 80), rng.uniform(0.5, 1.0, 19), [1.0]]
+        [10 ** rng.uniform(-6, 0, 80), rng.uniform(0.5, 1.0, 19), [1.0],
+         np.logspace(-300, -6, 300), np.logspace(-6, -4, 300)]
     )
     for a in alphas:
-        exact = float(phi_mp(a))
-        assert phi(float(a)) == pytest.approx(exact, rel=1e-12)
+        exact = phi_mp(float(a))
+        assert abs(phi(float(a)) - exact) / exact <= 4e-16
 
 
 # --- predicted_row_norm ----------------------------------------------------
@@ -111,6 +111,8 @@ def test_predicted_row_norm_domain():
         predicted_row_norm(10, 11)
     with pytest.raises(DomainError):
         predicted_row_norm(10, 0)
+    with pytest.raises(DomainError, match="^n must lie in "):
+        predicted_row_norm(10**400, 10**400)
 
 
 # --- tail bounds -----------------------------------------------------------
@@ -138,16 +140,16 @@ def test_kolmogorov_pvalue_values():
     assert kolmogorov_pvalue(1.3581) == pytest.approx(0.05, abs=1e-3)
     assert kolmogorov_pvalue(1.6276) == pytest.approx(0.01, abs=1e-3)
     assert kolmogorov_pvalue(0.0) == 1.0
-    # the theta form below lam = 1 and the alternating series above agree
     assert kolmogorov_pvalue(1.0 - 1e-12) == pytest.approx(kolmogorov_pvalue(1.0), abs=1e-11)
-    for lam in (0.3, 0.8, 1.2, 2.5):
+    for lam in (0.1, 0.15, 0.3, 0.8, 1.2, 2.5, *np.linspace(0.1, 6.0, 60)):
         series = 2 * mpmath.nsum(
             lambda k: (-1) ** (k - 1) * mpmath.exp(-2 * k**2 * mpmath.mpf(lam) ** 2),
             [1, mpmath.inf],
         )
-        assert kolmogorov_pvalue(lam) == pytest.approx(float(series), abs=1e-12)
-    with pytest.raises(DomainError):
-        kolmogorov_pvalue(-0.1)
+        assert abs(kolmogorov_pvalue(float(lam)) - float(series)) <= 1e-15
+    for bad in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            kolmogorov_pvalue(bad)
 
 
 def test_chi_norm_tail_values():
@@ -157,6 +159,9 @@ def test_chi_norm_tail_values():
         chi_norm_tail(4, 1.0)
     with pytest.raises(DomainError):
         chi_norm_tail(0, 0.5)
+    # an n past float range cannot enter the exponent
+    with pytest.raises(DomainError, match="^n must lie in "):
+        chi_norm_tail(10**400, 0.5)
 
 
 def test_projection_tails_values():
@@ -168,7 +173,8 @@ def test_projection_tails_values():
     with_t = projection_tails(100, 200, 0.2, t=2.0)
     assert with_t.unit_t == pytest.approx(math.exp(-50.0), rel=1e-12)
     for bad in (dict(k=0, n=4, rho=0.5), dict(k=5, n=4, rho=0.5),
-                dict(k=2, n=4, rho=1.5), dict(k=2, n=4, rho=0.5, t=0.5)):
+                dict(k=2, n=4, rho=1.5), dict(k=2, n=4, rho=0.5, t=0.5),
+                dict(k=10**400, n=10**400, rho=0.5)):
         with pytest.raises(DomainError):
             projection_tails(**bad)
 
