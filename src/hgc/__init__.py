@@ -43,7 +43,6 @@ from .measure import (
 )
 from .rng import Seed, sample_gaussian
 from .theory import (
-    ProjectionTails,
     beta_interval,
     chi_norm_tail,
     epsilon_envelope,
@@ -63,7 +62,6 @@ __all__ = [
     "DomainError",
     "ExperimentConfig",
     "NumericalError",
-    "ProjectionTails",
     "Report",
     "RotatedPair",
     "RowBlockDecomposition",

@@ -278,12 +278,11 @@ def _cmd_bounds(ns) -> int:
         if ns.n is None or ns.rho is None:
             raise ConfigError("--k needs --n and --rho")
         t = ns.t if ns.t is not None and ns.t > 1 else None
-        tails = theory.projection_tails(ns.k, ns.n, ns.rho, t)
+        two_sided, unit_t = theory.projection_tails(ns.k, ns.n, ns.rho, t)
         print(
             f"projection k={ns.k} n={ns.n} rho={ns.rho:g}: two-sided bounds "
-            f"{tails.gaussian_upper:.6f} (Gaussian vector), "
-            f"{tails.unit_upper:.6f} (unit vector)"
-            + (f", t-bound {tails.unit_t:.6g}" if tails.unit_t is not None else "")
+            f"{two_sided:.6f} (Gaussian vector), {two_sided:.6f} (unit vector)"
+            + (f", t-bound {unit_t:.6g}" if unit_t is not None else "")
         )
         printed = True
     if ns.beta is not None:

@@ -300,9 +300,9 @@ def _analytic_calculators(seed, run):
     close(chi_norm_tail(400, 0.2), 0.018316, 1e-6)
     close(chi_norm_tail(4, 0.99), 0.37527, 1e-5)
 
-    tails = projection_tails(100, 200, 0.2, t=2.0)
-    close(tails.unit_upper, 0.367879, 1e-6)
-    close(tails.unit_t, math.exp(-50.0), 1e-60)
+    two_sided, unit_t = projection_tails(100, 200, 0.2, t=2.0)
+    close(two_sided, 0.367879, 1e-6)
+    close(unit_t, math.exp(-50.0), 1e-60)
 
     close(hoeffding_bound([2.0] * 100, 20.0), 0.27067, 1e-5)
     close(hoeffding_bound([1.0], 1.0), 2.0 * math.exp(-2.0), 1e-12)

@@ -511,7 +511,7 @@ def _bounds_battery(config: ExperimentConfig) -> Report:
 
     lower, upper = theory.gaussian_tail_bounds(1.0)
     chi_bound = theory.chi_norm_tail(dim, eps)
-    tails = theory.projection_tails(k, amb, rho, t)
+    proj_bound, unit_t = theory.projection_tails(k, amb, rho, t)
     ratio = math.sqrt(k / amb)
     # (label, row n, row m, the draws that hit the event, bound)
     events = [
@@ -519,13 +519,11 @@ def _bounds_battery(config: ExperimentConfig) -> Report:
         ("gauss-tail-complement", 1, None, z <= 1.0, 1.0 - lower),
         ("chi-upper", dim, None, chi >= math.sqrt(dim) / math.sqrt(1.0 - eps), chi_bound),
         ("chi-lower", dim, None, chi <= math.sqrt(dim) * math.sqrt(1.0 - eps), chi_bound),
-        ("proj-gauss-upper", amb, k, p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho),
-         tails.gaussian_upper),
-        ("proj-gauss-lower", amb, k, p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho),
-         tails.gaussian_lower),
-        ("proj-unit-upper", amb, k, p_unit >= ratio / (1.0 - rho), tails.unit_upper),
-        ("proj-unit-lower", amb, k, p_unit <= ratio * (1.0 - rho), tails.unit_lower),
-        ("proj-unit-t", amb, k, p_unit >= t * ratio, tails.unit_t),
+        ("proj-gauss-upper", amb, k, p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho), proj_bound),
+        ("proj-gauss-lower", amb, k, p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho), proj_bound),
+        ("proj-unit-upper", amb, k, p_unit >= ratio / (1.0 - rho), proj_bound),
+        ("proj-unit-lower", amb, k, p_unit <= ratio * (1.0 - rho), proj_bound),
+        ("proj-unit-t", amb, k, p_unit >= t * ratio, unit_t),
     ]
     checks = [(label, row_n, row_m, float(np.mean(hits)), bnd)
               for label, row_n, row_m, hits, bnd in events]

@@ -9,18 +9,20 @@ the per-unit-m squared norm that the truncated rows of Y - sqrt(n) U
 concentrate around when U is the Gram-Schmidt orthonormalization of
 the Gaussian matrix Y and alpha = m/n.  It is evaluated by one
 cancellation-free rearrangement of this closed form, within 2.4e-16
-relative on [1e-300, 1].  The remaining calculators give the
-exponential tail bounds used by the Monte Carlo checks, the
-leading-order envelopes for the supremum statistic eps_n(m), and the
-asymptotic Kolmogorov p-value, one alternating series within 8.9e-16
-absolute on [0.1, 6].
+relative on [1e-300, 1].  Each other calculator is one formula too:
+the Gaussian tail estimates; the norm-deviation bound e^{-eps^2 n / 4},
+which with n = k and eps = rho is also the Haar-projection bound of
+Dasgupta & Gupta 2003; the Hoeffding bound; one sup-entry window
+((1 - slack) sqrt(2 ln n), (1 + slack) sqrt(2 ln(n m))), rescaled into
+the leading-order envelope of eps_n(m) and the thresholds for unit
+vectors; the beta window of eps_n(m); and the asymptotic Kolmogorov
+p-value, one alternating series within 8.9e-16 absolute on [0.1, 6].
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -55,12 +57,17 @@ def gaussian_tail_bounds(t: float) -> tuple[float, float]:
 
     Returns ``(lower, upper)`` with
     lower = t e^{-t^2/2} / ((1 + t^2) sqrt(2 pi)) and
-    upper = e^{-t^2/2} / (t sqrt(2 pi)); lower <= upper always.
+    upper = e^{-t^2/2} / (t sqrt(2 pi)); lower <= upper always.  Below
+    t = 2.2192e-309 the upper bound exceeds float range, so such a t is
+    rejected.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     core = math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    return t * core / (1.0 + t * t), core / t
+    upper = core / t
+    if upper == math.inf:
+        raise DomainError(f"t must be >= 2.22e-309 for a finite upper bound, got {t}")
+    return t * core / (1.0 + t * t), upper
 
 
 def kolmogorov_pvalue(lam: float) -> float:
@@ -88,38 +95,23 @@ def chi_norm_tail(n: int, eps: float) -> float:
     The same value bounds both P(||x|| >= sqrt(n)/sqrt(1-eps)) and
     P(||x|| <= sqrt(n) sqrt(1-eps)) for x standard Gaussian in R^n.
     """
-    if not 1 <= n <= sys.float_info.max:
-        raise DomainError(f"n must lie in [1, {sys.float_info.max:g}], got {n}")
+    _check_sizes(n, 1)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     return math.exp(-eps * eps * n / 4.0)
 
 
-@dataclass(frozen=True)
-class ProjectionTails:
-    """Tail bounds for projections onto a Haar k-dimensional subspace.
+def projection_tails(
+    k: int, n: int, rho: float, t: float | None = None
+) -> tuple[float, float | None]:
+    """Exponential bounds for the projection P_L onto a Haar k-dim subspace of R^n.
 
-    ``gaussian_upper``/``gaussian_lower`` bound the deviations of
-    ||P_L(x)|| for Gaussian x around sqrt(k); ``unit_upper``/
-    ``unit_lower`` bound the deviations of ||P_L(y)|| for a fixed unit
-    vector y around sqrt(k/n).  ``unit_t`` bounds
-    P(||P_L(y)|| >= t sqrt(k/n)) when a threshold t > 1 was given.
-    """
-
-    gaussian_upper: float
-    gaussian_lower: float
-    unit_upper: float
-    unit_lower: float
-    unit_t: float | None = None
-
-
-def projection_tails(k: int, n: int, rho: float, t: float | None = None) -> ProjectionTails:
-    """Exponential bounds for Haar-subspace projections.
-
-    The Gaussian-vector bounds are e^{-rho^2 k / 4} for both deviation
-    directions; the fixed-unit-vector bounds are likewise
-    e^{-rho^2 k / 4} both ways.  With ``t`` given, the extra bound is
-    e^{-(k/4)(t^2 - 2)}.
+    Returns ``(two_sided, unit_t)``.  ``two_sided`` = chi_norm_tail(k, rho)
+    = e^{-rho^2 k / 4} bounds each deviation of ||P_L(x)|| for Gaussian x
+    around sqrt(k), and of ||P_L(y)|| for a fixed unit vector y around
+    sqrt(k/n) (Dasgupta & Gupta 2003).  With ``t`` given, ``unit_t`` =
+    e^{-(k/4)(t^2 - 2)} bounds P(||P_L(y)|| >= t sqrt(k/n)); otherwise it
+    is None.
     """
     if not 1 <= k <= min(n, sys.float_info.max):
         raise DomainError(f"need 1 <= k <= n and k <= {sys.float_info.max:g}, got k={k}, n={n}")
@@ -127,28 +119,21 @@ def projection_tails(k: int, n: int, rho: float, t: float | None = None) -> Proj
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     if t is not None and not t > 1.0:
         raise DomainError(f"t must exceed 1, got {t}")
-    two_sided = math.exp(-rho * rho * k / 4.0)
     unit_t = None
     if t is not None:
         # for 1 < t < sqrt(2) the exponent is positive and the bound is
         # vacuous; it can exceed double range, which rounds to inf
         exponent = -(k / 4.0) * (t * t - 2.0)
         unit_t = math.exp(exponent) if exponent < 709.0 else math.inf
-    return ProjectionTails(
-        gaussian_upper=two_sided,
-        gaussian_lower=two_sided,
-        unit_upper=two_sided,
-        unit_lower=two_sided,
-        unit_t=unit_t,
-    )
+    return chi_norm_tail(k, rho), unit_t
 
 
-def hoeffding_bound(half_widths, a: float) -> float:
+def hoeffding_bound(widths, a: float) -> float:
     """Hoeffding bound 2 e^{-2 a^2 / sum w_i^2} for a sum of bounded terms.
 
-    ``half_widths`` are the interval widths b_i - a_i of the summands.
+    ``widths`` are the interval widths w_i = b_i - a_i of the summands.
     """
-    widths = [float(w) for w in half_widths]
+    widths = [float(w) for w in widths]
     if not widths or any(w < 0 for w in widths):
         raise DomainError("widths must be non-negative and non-empty")
     total = sum(w * w for w in widths)
@@ -159,50 +144,62 @@ def hoeffding_bound(half_widths, a: float) -> float:
     return 2.0 * math.exp(-2.0 * a * a / total)
 
 
-def epsilon_envelope(n: int, m: int, slack: float) -> tuple[float, float]:
-    """Leading-order envelope for the supremum statistic eps_n(m).
+def _sup_entry_window(n: int, m: int, slack: float) -> tuple[float, float]:
+    """Sup-entry window ((1 - slack) sqrt(2 ln n), (1 + slack) sqrt(2 ln(n m))).
 
-    Returns ``(lower, upper)`` with
-    lower = (1 - slack) sqrt(phi(m/n)) sqrt(2 ln n) and
-    upper = (1 + slack) sqrt(phi(m/n)) sqrt(2 ln(n m)).  The O(m^-delta)
-    corrections carry unknown constants and are deliberately dropped;
-    reports label these values "leading order".
+    For an n x m block of standard Gaussian entries, each column's own
+    max |entry| lies above the lower edge, and the max over all n m
+    entries below the upper edge, with probability tending to 1.  The
+    callers rescale both edges.  Requires n >= 2 and 0 <= slack < 1, so
+    the lower edge stays positive.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
+    if not 0.0 <= slack < 1.0:
+        raise DomainError(f"slack must lie in [0, 1), got {slack}")
+    lower = (1.0 - slack) * math.sqrt(2.0 * math.log(n))
+    return lower, (1.0 + slack) * math.sqrt(2.0 * math.log(n * m))
+
+
+def epsilon_envelope(n: int, m: int, slack: float) -> tuple[float, float]:
+    """Leading-order envelope for the supremum statistic eps_n(m).
+
+    Returns the sup-entry window scaled by sqrt(phi(m/n)), the per-entry
+    scale of Y - sqrt(n) U: lower = (1 - slack) sqrt(2 ln n) sqrt(phi(m/n))
+    and upper = (1 + slack) sqrt(2 ln(n m)) sqrt(phi(m/n)), for 1 <= m <= n
+    and 0 <= slack < 1.  The O(m^-delta) corrections carry unknown
+    constants and are deliberately dropped; reports label these values
+    "leading order".
+    """
     _check_sizes(n, m)
-    if not 0 <= slack < math.inf:
-        raise DomainError(f"slack must be >= 0 and finite, got {slack}")
+    lower, upper = _sup_entry_window(n, m, slack)
     root_phi = math.sqrt(phi(m / n))
-    lower = (1.0 - slack) * root_phi * math.sqrt(2.0 * math.log(n))
-    upper = (1.0 + slack) * root_phi * math.sqrt(2.0 * math.log(n * m))
-    return lower, upper
+    return lower * root_phi, upper * root_phi
 
 
 def beta_interval(beta: float) -> tuple[float, float]:
-    """Limit window (sqrt(beta), sqrt(2 beta)) for eps_n(m) at m = [beta n / ln n]."""
+    """Limit window (sqrt(beta), sqrt(2 beta)) for eps_n(m) at m = [beta n / ln n].
+
+    The upper edge is taken as sqrt(2) sqrt(beta), finite for every finite beta.
+    """
     if not 0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
-    return math.sqrt(beta), math.sqrt(2.0 * beta)
+    return math.sqrt(beta), math.sqrt(2.0) * math.sqrt(beta)
 
 
 def sphere_sup_threshold(n: int, m: int, slack: float) -> tuple[float, float]:
     """Sup-entry thresholds for m uniform unit vectors in R^n.
 
-    Returns ``(lower, upper)``: above upper = (1+slack) sqrt(2 ln(nm))/sqrt(n)
-    the supremum over all entries lands with vanishing probability; below
+    Returns the sup-entry window divided by sqrt(n), for m >= 1 and
+    0 <= slack < 1: above upper = (1+slack) sqrt(2 ln(nm))/sqrt(n) the
+    supremum over all entries lands with vanishing probability; below
     lower = (1-slack) sqrt(2 ln n)/sqrt(n) each vector's own sup entry
     falls with vanishing probability (for m <= alpha n).
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if not 0.0 <= slack < 1.0:
-        raise DomainError(f"slack must lie in [0, 1), got {slack}")
-    lower = (1.0 - slack) * math.sqrt(2.0 * math.log(n)) / math.sqrt(n)
-    upper = (1.0 + slack) * math.sqrt(2.0 * math.log(n * m)) / math.sqrt(n)
-    return lower, upper
+    lower, upper = _sup_entry_window(n, m, slack)
+    return lower / math.sqrt(n), upper / math.sqrt(n)
 
 
 def _check_sizes(n: int, m: int) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 import hgc.cli as cli
 import hgc.harness as harness
-from hgc import NumericalError, Seed
+from hgc import NumericalError, Seed, sample_gaussian
 from hgc.cli import build_parser, main
 from hgc.criteria import CRITERIA
 
@@ -73,6 +73,43 @@ def test_bounds_various_calculators():
     assert "1.009984" in stdout
 
 
+def test_bounds_beta_window_is_finite_at_float_range():
+    # 2 beta overflows at beta = 1e308; sqrt(2) sqrt(beta) does not
+    code, stdout, _ = invoke(["bounds", "--beta", "1e308"])
+    assert code == 0
+    assert stdout.startswith("beta=1e+308: eps_n(m) window (")
+    assert "inf" not in stdout
+
+
+def test_bounds_check_passes_when_every_bound_dominates():
+    code, stdout, _ = invoke(["bounds", "--check"])
+    assert code == 0
+    assert "9 tail bounds vs Monte Carlo: all dominated" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--n", "100", "--m", "10", "--slack", "1"],
+         "slack must lie in [0, 1), got 1.0"),
+        (["bounds", "--n", "100", "--m", "10", "--slack", "2"],
+         "slack must lie in [0, 1), got 2.0"),
+        (["bounds", "--t", "1e-320"],
+         "t must be >= 2.22e-309 for a finite upper bound, got 1e-320"),
+        (["bounds", "--k", "3", "--n", "5"], "--k needs --n and --rho"),
+        (["sweep", "--n", ","], "empty --n list"),
+        (["sweep", "--n", "8,x", "--alpha", "1"],
+         "bad --n list '8,x': invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["bounds-slack-1", "bounds-slack-2", "bounds-tiny-t", "bounds-k-without-rho",
+         "sweep-empty-n", "sweep-bad-n"],
+)
+def test_bad_argument_exits_1(argv, message):
+    code, stdout, err = invoke(argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_bounds_without_args_exit_1():
     code, _, err = invoke(["bounds"])
     assert code == 1
@@ -112,6 +149,14 @@ def test_epsilon_summary_mentions_envelope(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+def test_gh_summary_reports_the_split():
+    code, stdout, _ = invoke(["gh", "--n", "64", "--alpha", "0.5", "--trials", "2", "--seed", "1"])
+    assert code == 0
+    assert len(stdout.splitlines()) == 1
+    assert "; split q50: |G|^2/m=" in stdout
+    assert "(alpha/2=0.25000), |H|^2/m=" in stdout
+
+
 def test_compare_summary_reports_wins():
     code, stdout, _ = invoke(
         ["compare", "--n", "64", "--beta", "1", "--trials", "2", "--seed", "2"]
@@ -146,6 +191,21 @@ def test_sweep_cell_runs_again_without_overwriting_the_table(tmp_path):
     assert code == 0
     assert "row-norms: n=8" in stdout
     assert table.read_bytes() == before
+
+
+def test_sweep_prints_its_failed_cell(monkeypatch):
+    def sample(rows, cols, seed):
+        y = sample_gaussian(rows, cols, seed)
+        if rows == 8:
+            y[:, 1] = y[:, 0]  # column 2 repeats column 1
+        return y
+
+    monkeypatch.setattr(harness, "sample_gaussian", sample)
+    code, stdout, _ = invoke(["sweep", "--n", "8,16", "--m", "2", "--trials", "1"])
+    assert code == 0
+    head, failed = stdout.splitlines()
+    assert head == "sweep: 1/2 cells ok over n=[8, 16] (kind=row-norms)."
+    assert failed.startswith("  n=8: NumericalError: trial 0: ")
 
 
 def test_sweep_with_an_invalid_cell_runs_no_cell(tmp_path):
@@ -226,8 +286,8 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, doc, key):
         (["rownorms", "--n", "8", "--beta", "inf"], "beta must be positive and finite"),
         (["--config", '{"kind": "epsilon", "n": 64, "beta": NaN}'],
          "beta must be positive and finite"),
-        (["bounds", "--n", "4", "--m", "2", "--slack", "nan"], "slack must be >= 0 and finite"),
-        (["bounds", "--n", "4", "--m", "2", "--slack", "inf"], "slack must be >= 0 and finite"),
+        (["bounds", "--n", "4", "--m", "2", "--slack", "nan"], "slack must lie in [0, 1)"),
+        (["bounds", "--n", "4", "--m", "2", "--slack", "inf"], "slack must lie in [0, 1)"),
         (["bounds", "--t", "inf"], "t must be positive and finite"),
         (["bounds", "--beta", "inf"], "beta must be positive and finite"),
     ],

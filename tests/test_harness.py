@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -95,6 +96,13 @@ def test_config_validation_errors():
         ExperimentConfig(kind="row-norms", n=8, alpha=0.01)  # floor(0.08) = 0
     with pytest.raises(ConfigError):
         run(ExperimentConfig(kind="sweep", n=8, m=2))
+    for bad, message in (({"n": 0}, "n must be >= 1, got 0"),
+                         ({"workers": 0}, "workers must be >= 1, got 0"),
+                         ({"format": "xml"}, "unknown format 'xml'")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**{"kind": "row-norms", "n": 8, "m": 2, **bad})
+    with pytest.raises(ConfigError, match=r"^alpha must lie in \(0, 1\], got 1\.5$"):
+        ExperimentConfig(kind="row-norms", n=8, alpha=1.5)
     # alpha n or beta n / ln n would overflow a float on its way to m
     for size in ({"n": 8, "beta": 1e308}, {"n": 10**400, "alpha": 0.5},
                  {"n": 10**400, "beta": 1.0}):
@@ -738,5 +746,7 @@ def test_config_from_json_defaults_and_errors():
         config_from_json('{"kind": "row-norms", "n": 64, "m": 4, "bogus": 1}')
     with pytest.raises(ConfigError):
         config_from_json("not json")
+    with pytest.raises(ConfigError, match="^JSON config must be an object$"):
+        config_from_json("[1]")
     with pytest.raises(ConfigError):
         config_from_json('{"kind": "row-norms", "n": 64, "m": 4, "alpha": 0.5}')

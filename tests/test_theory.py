@@ -133,6 +133,11 @@ def test_gaussian_tail_ordering_and_domain():
     for t in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             gaussian_tail_bounds(t)
+    # below 2.2192e-309 the upper bound 1 / (t sqrt(2 pi)) exceeds float range
+    assert gaussian_tail_bounds(2.22e-309)[1] < math.inf
+    for t in (2.2e-309, 1e-320):
+        with pytest.raises(DomainError, match=r"^t must be >= 2\.22e-309 for a finite upper"):
+            gaussian_tail_bounds(t)
 
 
 def test_kolmogorov_pvalue_values():
@@ -165,18 +170,23 @@ def test_chi_norm_tail_values():
 
 
 def test_projection_tails_values():
-    tails = projection_tails(100, 200, 0.2)
-    assert tails.unit_upper == pytest.approx(0.367879, abs=1e-6)
-    assert tails.unit_lower == tails.unit_upper
-    assert tails.gaussian_upper == tails.unit_upper
-    assert tails.unit_t is None
-    with_t = projection_tails(100, 200, 0.2, t=2.0)
-    assert with_t.unit_t == pytest.approx(math.exp(-50.0), rel=1e-12)
+    two_sided, unit_t = projection_tails(100, 200, 0.2)
+    assert two_sided == pytest.approx(0.367879, abs=1e-6)
+    assert unit_t is None
+    two_sided_t, unit_t = projection_tails(100, 200, 0.2, t=2.0)
+    assert two_sided_t == two_sided
+    assert unit_t == pytest.approx(math.exp(-50.0), rel=1e-12)
     for bad in (dict(k=0, n=4, rho=0.5), dict(k=5, n=4, rho=0.5),
                 dict(k=2, n=4, rho=1.5), dict(k=2, n=4, rho=0.5, t=0.5),
                 dict(k=10**400, n=10**400, rho=0.5)):
         with pytest.raises(DomainError):
             projection_tails(**bad)
+
+
+def test_projection_bound_is_the_chi_norm_bound():
+    for k in (1, 2, 7, 64, 100, 1000, 10**6):
+        for rho in (1e-9, 0.01, 0.2, 0.3, 0.5, 0.9, 0.999999):
+            assert projection_tails(k, 2 * k, rho)[0] == chi_norm_tail(k, rho)
 
 
 def test_hoeffding_values():
@@ -209,9 +219,9 @@ def test_epsilon_envelope_beta_one_case():
     assert abs(lower - 1.014) <= 0.01
 
 
-@pytest.mark.parametrize("slack", [-0.1, math.inf, math.nan])
+@pytest.mark.parametrize("slack", [-0.1, 1.0, 2.0, math.inf, math.nan])
 def test_epsilon_envelope_rejects_bad_slack(slack):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^slack must lie in \[0, 1\), got "):
         epsilon_envelope(300, 120, slack)
 
 
@@ -236,6 +246,10 @@ def test_epsilon_envelope_ordering(n, frac, slack):
 def test_beta_interval_values():
     low, high = beta_interval(1.0)
     assert (low, high) == pytest.approx((1.0, 1.41421356), abs=1e-8)
+    # 2 beta overflows here, so the upper edge is sqrt(2) sqrt(beta)
+    low, high = beta_interval(1e308)
+    assert high == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+    assert low < high < math.inf
     assert beta_interval(4.0) == pytest.approx((2.0, 2.82842712), abs=1e-8)
     assert beta_interval(0.25) == pytest.approx((0.5, 0.70710678), abs=1e-8)
     for beta in (0.0, math.inf, math.nan):
@@ -255,6 +269,9 @@ def test_sphere_sup_threshold_values():
     assert square[1] / square[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     with pytest.raises(DomainError):
         sphere_sup_threshold(500, 0, 0.0)
+    for slack in (-0.1, 1.0, 2.0, math.nan):
+        with pytest.raises(DomainError, match=r"^slack must lie in \[0, 1\), got "):
+            sphere_sup_threshold(500, 20, slack)
 
 
 # --- cross-check every calculator against 50-digit evaluation ---------------
@@ -278,11 +295,11 @@ def test_calculators_vs_high_precision_oracle():
 
         k = int(rng.integers(1, n + 1))
         tp = float(rng.uniform(1.01, 3.0))
-        tails = projection_tails(k, n, eps, tp)
-        assert tails.unit_upper == pytest.approx(
+        two_sided, unit_t = projection_tails(k, n, eps, tp)
+        assert two_sided == pytest.approx(
             float(mpmath.exp(-mpmath.mpf(eps) ** 2 * k / 4)), rel=1e-12
         )
-        assert tails.unit_t == pytest.approx(
+        assert unit_t == pytest.approx(
             float(mpmath.exp(-mpmath.mpf(k) / 4 * (mpmath.mpf(tp) ** 2 - 2))),
             rel=1e-12,
         )
