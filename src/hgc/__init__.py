@@ -19,7 +19,6 @@ from .coupling import (
 from .errors import (
     ConfigError,
     DegeneracyError,
-    DimensionError,
     DomainError,
     NumericalError,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ConfigError",
     "CoupledPair",
     "DegeneracyError",
-    "DimensionError",
     "DomainError",
     "ExperimentConfig",
     "NumericalError",

@@ -30,6 +30,7 @@ from .errors import ConfigError, DegeneracyError, DomainError, NumericalError
 from .harness import (
     COUPLINGS,
     FORMATS,
+    PLAIN_GS,
     ExperimentConfig,
     Report,
     _check_footprint,
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--coupling",
             choices=COUPLINGS,
-            default="plain-gs",
+            default=PLAIN_GS,
             help="which coupling produces the reported statistics",
         )
         p.add_argument("--out", help="output file path")

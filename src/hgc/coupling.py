@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError
+from .errors import DegeneracyError, DomainError
 from .rng import Seed, sample_gaussian
 
 # Residual norms below DEGENERACY_FACTOR * sqrt(n) abort the coupling.
@@ -113,7 +113,7 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
 
     Raises
     ------
-    DimensionError
+    DomainError
         If ``y`` is not 2-D with 1 <= k <= n columns and finite entries.
     DegeneracyError
         If some residual norm falls below ``1e-8 * sqrt(n)``; the error
@@ -121,9 +121,9 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or not 1 <= y.shape[1] <= y.shape[0]:
-        raise DimensionError(f"expected n x k with 1 <= k <= n, got shape {y.shape}")
+        raise DomainError(f"expected n x k with 1 <= k <= n, got shape {y.shape}")
     if not np.isfinite(y).all():
-        raise DimensionError("matrix entries must be finite")
+        raise DomainError("matrix entries must be finite")
     n, k = y.shape
     threshold = DEGENERACY_FACTOR * math.sqrt(n)
 
@@ -171,7 +171,7 @@ def haar_orthogonal(k: int, seed: Seed) -> np.ndarray:
 
     Realized as ``gram_schmidt_couple(sample_gaussian(k, k, seed)).u``,
     so it is deterministic per seed; a k below 1 raises
-    :class:`DimensionError` there.
+    :class:`DomainError` there.
     """
     return gram_schmidt_couple(sample_gaussian(k, k, seed)).u
 
@@ -188,6 +188,6 @@ def randomized_couple(pair: CoupledPair, m: int, seed: Seed) -> RotatedPair:
     """
     k = pair.u.shape[1]
     if not 1 <= m <= k:
-        raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
+        raise DomainError(f"m must satisfy 1 <= m <= {k}, got {m}")
     v_m = haar_orthogonal(m, seed)
     return RotatedPair(y=pair.y[:, :m] @ v_m, u=pair.u[:, :m] @ v_m)

@@ -71,7 +71,7 @@ def randomized_wins(report: Report) -> int:
                (r.rows for r in report.results))
 
 
-def run_selftest(seed: int = 0, log=print) -> bool:
+def run_selftest(seed: int = 0) -> bool:
     """Run every criterion that has a reduced scale; True when all pass.
 
     Reports are cached for the length of the call, so criteria that read
@@ -84,7 +84,7 @@ def run_selftest(seed: int = 0, log=print) -> bool:
         if criterion.reduced is None:
             continue
         ok, detail = criterion.check(seed, cached_run, **criterion.reduced)
-        log(f"{'PASS' if ok else 'FAIL'} {criterion.label}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {criterion.label}: {detail}")
         all_ok &= ok
     return all_ok
 

@@ -1,12 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class DimensionError(ValueError):
-    """A matrix shape or size argument is out of its valid range."""
+Every argument outside its range, a matrix shape as much as a
+calculator input, raises the one :class:`DomainError`.
+"""
 
 
 class DomainError(ValueError):
-    """A calculator argument lies outside its stated domain."""
+    """An argument lies outside its stated domain.
+
+    Raised for a matrix size or shape out of range (a sample of fewer
+    than one row or column, a block that is not n x k with 1 <= k <= n,
+    a truncation m outside 1..k) and for a tail-bound calculator's input
+    outside the domain of its formula.
+    """
 
 
 class DegeneracyError(ArithmeticError):

@@ -32,7 +32,7 @@ borel            pools sqrt(n) u_11 across trials; each row carries the
                  trial's value in the ``mean_F`` column and the pooled
                  Kolmogorov-Smirnov distance in ``ks``
 bounds-check     fixed battery of tail-bound dominance checks (see
-                 ``BOUND_CHECK_LABELS`` for the row order); each row
+                 ``_bounds_battery`` for the row order); each row
                  carries its own n and m, the empirical frequency in
                  ``sup_F``, the analytic bound in ``predicted``, and
                  their ratio in ``ratio_sup``; the aggregate's ``checks``
@@ -65,13 +65,10 @@ from .coupling import CoupledPair, gram_schmidt_couple, randomized_couple
 from .errors import (
     ConfigError,
     DegeneracyError,
-    DimensionError,
     DomainError,
     NumericalError,
 )
 from .measure import (
-    PLAIN_GS,
-    RANDOMIZED,
     decompose_gh,
     epsilon_sup,
     ks_statistic,
@@ -88,6 +85,8 @@ KINDS = (
     "borel",
     "bounds-check",
 )
+PLAIN_GS = "plain-gs"
+RANDOMIZED = "randomized"
 COUPLINGS = (PLAIN_GS, RANDOMIZED)
 FORMATS = ("csv", "json", "svg")
 
@@ -261,7 +260,7 @@ def sweep(configs) -> SweepTable:
         try:
             report = run(cfg)
             cells.append({"config": cfg, "aggregate": report.aggregate, "error": None})
-        except (NumericalError, DimensionError, DomainError) as exc:
+        except (NumericalError, DomainError) as exc:
             cells.append(
                 {
                     "config": cfg,
@@ -474,19 +473,6 @@ def _row_norm_columns(f_norms: np.ndarray, n: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 # bound-dominance battery
 
-BOUND_CHECK_LABELS = (
-    "gauss-tail-upper",
-    "gauss-tail-complement",
-    "chi-upper",
-    "chi-lower",
-    "proj-gauss-upper",
-    "proj-gauss-lower",
-    "proj-unit-upper",
-    "proj-unit-lower",
-    "proj-unit-t",
-)
-
-
 def _bounds_battery(config: ExperimentConfig) -> Report:
     """Empirical frequency vs analytic bound at the standard parameter points.
 
@@ -513,37 +499,34 @@ def _bounds_battery(config: ExperimentConfig) -> Report:
     chi_bound = theory.chi_norm_tail(dim, eps)
     proj_bound, unit_t = theory.projection_tails(k, amb, rho, t)
     ratio = math.sqrt(k / amb)
-    # (label, row n, row m, the draws that hit the event, bound)
+    # (label, substream group, row n, row m, the draws that hit the event, bound)
     events = [
-        ("gauss-tail-upper", 1, None, z > 1.0, upper),
-        ("gauss-tail-complement", 1, None, z <= 1.0, 1.0 - lower),
-        ("chi-upper", dim, None, chi >= math.sqrt(dim) / math.sqrt(1.0 - eps), chi_bound),
-        ("chi-lower", dim, None, chi <= math.sqrt(dim) * math.sqrt(1.0 - eps), chi_bound),
-        ("proj-gauss-upper", amb, k, p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho), proj_bound),
-        ("proj-gauss-lower", amb, k, p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho), proj_bound),
-        ("proj-unit-upper", amb, k, p_unit >= ratio / (1.0 - rho), proj_bound),
-        ("proj-unit-lower", amb, k, p_unit <= ratio * (1.0 - rho), proj_bound),
-        ("proj-unit-t", amb, k, p_unit >= t * ratio, unit_t),
+        ("gauss-tail-upper", 0, 1, None, z > 1.0, upper),
+        ("gauss-tail-complement", 0, 1, None, z <= 1.0, 1.0 - lower),
+        ("chi-upper", 1, dim, None, chi >= math.sqrt(dim) / math.sqrt(1.0 - eps), chi_bound),
+        ("chi-lower", 1, dim, None, chi <= math.sqrt(dim) * math.sqrt(1.0 - eps), chi_bound),
+        ("proj-gauss-upper", 2, amb, k, p_gauss >= math.sqrt(k) / math.sqrt(1.0 - rho), proj_bound),
+        ("proj-gauss-lower", 2, amb, k, p_gauss <= math.sqrt(k) * math.sqrt(1.0 - rho), proj_bound),
+        ("proj-unit-upper", 2, amb, k, p_unit >= ratio / (1.0 - rho), proj_bound),
+        ("proj-unit-lower", 2, amb, k, p_unit <= ratio * (1.0 - rho), proj_bound),
+        ("proj-unit-t", 2, amb, k, p_unit >= t * ratio, unit_t),
     ]
-    checks = [(label, row_n, row_m, float(np.mean(hits)), bnd)
-              for label, row_n, row_m, hits, bnd in events]
-
-    results = [
-        TrialResult(trial=i, seed=Seed(config.seed, (min(i // 2, 2),)), rows=(
+    results, checks = [], []
+    for i, (label, group, row_n, row_m, hits, bnd) in enumerate(events):
+        freq = float(np.mean(hits))
+        results.append(TrialResult(trial=i, seed=Seed(config.seed, (group,)), rows=(
             {"n": row_n, "m": row_m, "coupling": None, "sup_F": freq, "predicted": bnd,
              "ratio_sup": freq / bnd},
-        ))
-        for i, (_, row_n, row_m, freq, bnd) in enumerate(checks)
-    ]
+        )))
+        checks.append({"label": label, "frequency": freq, "bound": bnd, "ratio": freq / bnd})
     # The battery couples nothing, so its aggregate names no coupling.
     aggregate = {
         "kind": config.kind,
         "n": config.n,
         "trials": len(results),
         "seed": config.seed,
-        "checks": [{"label": label, "frequency": freq, "bound": bnd, "ratio": freq / bnd}
-                   for label, _, _, freq, bnd in checks],
-        "all_dominated": all(freq <= bnd for _, _, _, freq, bnd in checks),
+        "checks": checks,
+        "all_dominated": all(check["frequency"] <= check["bound"] for check in checks),
     }
     return Report(config=config, results=results, aggregate=aggregate)
 

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CoupledPair
-from .errors import DimensionError, DomainError
-
-PLAIN_GS = "plain-gs"
-RANDOMIZED = "randomized"
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,16 @@ def _residual_split(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_block(y: np.ndarray, u: np.ndarray, m: int) -> int:
-    """Rows n of an n x k pair of blocks, after checking 1 <= m <= k <= n."""
+    """Rows n of an n x k pair of blocks, after checking 1 <= m <= k <= n.
+
+    Raises :class:`DomainError` if ``y`` is not n x k with k <= n, if
+    ``u`` has another shape, or if m lies outside 1..k.
+    """
     if y.ndim != 2 or y.shape[1] > y.shape[0]:
-        raise DimensionError(f"y must be n x k with k <= n, got shape {y.shape}")
+        raise DomainError(f"y must be n x k with k <= n, got shape {y.shape}")
     if u.shape != y.shape:
-        raise DimensionError(f"u shape {u.shape} does not match y shape {y.shape}")
+        raise DomainError(f"u shape {u.shape} does not match y shape {y.shape}")
     n, k = y.shape
     if not 1 <= m <= k:
-        raise DimensionError(f"m must satisfy 1 <= m <= {k}, got {m}")
+        raise DomainError(f"m must satisfy 1 <= m <= {k}, got {m}")
     return n

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DomainError
 
 _MAX_ROOT = 2**64
 
@@ -69,5 +69,5 @@ def sample_gaussian(rows: int, cols: int, seed: Seed) -> np.ndarray:
     k <= cols.
     """
     if rows < 1 or cols < 1:
-        raise DimensionError(f"rows and cols must be >= 1, got {rows}x{cols}")
+        raise DomainError(f"rows and cols must be >= 1, got {rows}x{cols}")
     return seed.generator().standard_normal((cols, rows)).T

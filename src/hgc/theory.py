@@ -134,7 +134,7 @@ def hoeffding_bound(widths, a: float) -> float:
     ``widths`` are the interval widths w_i = b_i - a_i of the summands.
     """
     widths = [float(w) for w in widths]
-    if not widths or any(w < 0 for w in widths):
+    if not widths or not all(w >= 0 for w in widths):
         raise DomainError("widths must be non-negative and non-empty")
     total = sum(w * w for w in widths)
     if total == 0.0:
@@ -190,12 +190,14 @@ def beta_interval(beta: float) -> tuple[float, float]:
 def sphere_sup_threshold(n: int, m: int, slack: float) -> tuple[float, float]:
     """Sup-entry thresholds for m uniform unit vectors in R^n.
 
-    Returns the sup-entry window divided by sqrt(n), for m >= 1 and
-    0 <= slack < 1: above upper = (1+slack) sqrt(2 ln(nm))/sqrt(n) the
-    supremum over all entries lands with vanishing probability; below
-    lower = (1-slack) sqrt(2 ln n)/sqrt(n) each vector's own sup entry
-    falls with vanishing probability (for m <= alpha n).
+    Returns the sup-entry window divided by sqrt(n), for n >= 2 within
+    float range, m >= 1 and 0 <= slack < 1: above upper = (1+slack)
+    sqrt(2 ln(nm))/sqrt(n) the supremum over all entries lands with
+    vanishing probability; below lower = (1-slack) sqrt(2 ln n)/sqrt(n)
+    each vector's own sup entry falls with vanishing probability (for
+    m <= alpha n).
     """
+    _check_sizes(n, 1)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     lower, upper = _sup_entry_window(n, m, slack)

@@ -6,7 +6,7 @@ import pytest
 import hgc.coupling as coupling
 from hgc import (
     DegeneracyError,
-    DimensionError,
+    DomainError,
     Seed,
     gram_schmidt_couple,
     haar_orthogonal,
@@ -115,11 +115,11 @@ def test_degenerate_column_named():
 
 
 def test_nonsquare_and_nonfinite_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         gram_schmidt_couple(np.ones((2, 3)))
     bad = np.eye(3)
     bad[1, 1] = np.nan
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         gram_schmidt_couple(bad)
 
 
@@ -147,7 +147,7 @@ def test_haar_entry_mean_near_zero():
 
 
 def test_haar_zero_dimension_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         haar_orthogonal(0, Seed(1))
 
 
@@ -171,9 +171,9 @@ def test_randomized_preserves_row_block_norms():
 
 def test_randomized_range_checks():
     pair = random_pair(6)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         randomized_couple(pair, 0, Seed(0))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         randomized_couple(pair, 7, Seed(0))
 
 

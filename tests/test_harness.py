@@ -35,7 +35,6 @@ from hgc import (
     sweep,
 )
 from hgc.harness import (
-    BOUND_CHECK_LABELS,
     CSV_HEADER,
     render_csv,
     render_json,
@@ -457,7 +456,21 @@ def test_bounds_battery_dominates():
         report = run(ExperimentConfig(kind="bounds-check", n=1, seed=seed))
         rows = [r.rows[0] for r in report.results]
         checks = report.aggregate["checks"]
-        assert [check["label"] for check in checks] == list(BOUND_CHECK_LABELS)
+        assert [check["label"] for check in checks] == [
+            "gauss-tail-upper",
+            "gauss-tail-complement",
+            "chi-upper",
+            "chi-lower",
+            "proj-gauss-upper",
+            "proj-gauss-lower",
+            "proj-unit-upper",
+            "proj-unit-lower",
+            "proj-unit-t",
+        ]
+        # Each row's seed names its substream group: the Gaussian tail,
+        # chi, then the projections.
+        assert [str(r.seed) for r in report.results] == (
+            [f"{seed}:0"] * 2 + [f"{seed}:1"] * 2 + [f"{seed}:2"] * 5)
         assert report.aggregate["all_dominated"]
         for row, check in zip(rows, checks):
             assert set(row) <= set(CSV_HEADER.split(","))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hgc import (
-    DimensionError,
     DomainError,
     Seed,
     decompose_gh,
@@ -63,11 +62,11 @@ def test_row_norms_hand_case():
 
 def test_row_norms_validation():
     y = sample_gaussian(4, 4, Seed(2))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         truncated_row_norms(y, y[:3, :3], 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         truncated_row_norms(y, y, 5)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         truncated_row_norms(y, y, 0)
 
 
@@ -140,9 +139,9 @@ def test_norms_match_library_norm_bitwise(n, m):
 
 def test_decompose_range_check():
     pair = random_pair(8)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         decompose_gh(pair, 9)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         decompose_gh(pair, 0)
 
 

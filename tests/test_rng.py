@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hgc import ConfigError, DimensionError, Seed, sample_gaussian
+from hgc import ConfigError, DomainError, Seed, sample_gaussian
 
 
 def test_same_seed_same_matrix():
@@ -46,9 +46,9 @@ def test_substreams_look_independent():
 
 
 def test_zero_dimension_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         sample_gaussian(0, 3, Seed(1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         sample_gaussian(3, 0, Seed(1))
 
 

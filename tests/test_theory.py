@@ -201,6 +201,8 @@ def test_hoeffding_values():
         hoeffding_bound([1.0], 0.0)
     with pytest.raises(DomainError):
         hoeffding_bound([], 1.0)
+    with pytest.raises(DomainError, match="^widths must be non-negative and non-empty$"):
+        hoeffding_bound([float("nan")], 1.0)
 
 
 # --- envelopes -------------------------------------------------------------
@@ -269,6 +271,10 @@ def test_sphere_sup_threshold_values():
     assert square[1] / square[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     with pytest.raises(DomainError):
         sphere_sup_threshold(500, 0, 0.0)
+    # n past float range, infinite or NaN is refused, not taken to sqrt
+    for n in (10**400, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"^n must lie in \[1, "):
+            sphere_sup_threshold(n, 1, 0.0)
     for slack in (-0.1, 1.0, 2.0, math.nan):
         with pytest.raises(DomainError, match=r"^slack must lie in \[0, 1\), got "):
             sphere_sup_threshold(500, 20, slack)
