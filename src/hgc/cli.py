@@ -3,7 +3,8 @@
 Each subcommand maps onto a harness config; flags are long-form only.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 (orthogonality, degeneracy, or a crashed worker), 3 I/O error or out of
-memory.  ``HGC_WORKERS`` provides the default for ``--workers``.
+memory, 130 interrupted (SIGINT).  ``HGC_WORKERS`` provides the default
+for ``--workers``.
 
 ``--workers k`` asks for at most k trial processes; a run forks only as
 many as the cores hold beside OpenBLAS's threads
@@ -30,26 +31,18 @@ from .errors import ConfigError, DegeneracyError, DomainError, NumericalError
 from .harness import (
     COUPLINGS,
     FORMATS,
+    KINDS,
     PLAIN_GS,
     ExperimentConfig,
     Report,
     _check_footprint,
     config_from_json,
-    default_trials,
     emit,
     pool_budget,
     run,
     sweep,
 )
 from .rng import Seed, sample_gaussian
-
-_KIND_OF_COMMAND = {
-    "rownorms": "row-norms",
-    "gh": "gh-split",
-    "epsilon": "epsilon",
-    "compare": "coupling-compare",
-    "borel": "borel",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,17 +85,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("couple", help="run one coupling and print its diagnostics")
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    p.set_defaults(handler=_cmd_couple)
 
-    for cmd, kind in _KIND_OF_COMMAND.items():
-        p = sub.add_parser(cmd, help=f"run the {kind} experiment")
+    experiments = [kind for kind, spec in KINDS.items() if spec.command]
+    for kind in experiments:
+        p = sub.add_parser(KINDS[kind].command, help=f"run the {kind} experiment")
         p.add_argument("--n", type=int, required=True, help="matrix dimension")
         experiment_flags(p)
+        p.set_defaults(kind=kind, handler=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="run a grid of experiments over n")
-    p.add_argument("--kind", default="row-norms", choices=tuple(_KIND_OF_COMMAND.values()),
+    p.add_argument("--kind", default="row-norms", choices=experiments,
                    help="experiment kind for every grid cell")
     p.add_argument("--n", required=True, help="comma-separated dimensions, e.g. 256,512")
     experiment_flags(p)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="print analytic tail bounds / run dominance checks")
     p.add_argument("--t", type=float, help="Gaussian tail threshold t > 0")
@@ -118,9 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="root seed for --check")
     p.add_argument("--out", help="output file path for --check")
     p.add_argument("--format", choices=FORMATS, default="csv")
+    p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("selftest", help="run the acceptance checks at reduced scale")
     p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    p.set_defaults(handler=_cmd_selftest)
 
     return parser
 
@@ -146,6 +145,9 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:
@@ -163,23 +165,13 @@ def _dispatch(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    if ns.command == "couple":
-        return _cmd_couple(ns)
-    if ns.command == "sweep":
-        return _cmd_sweep(ns)
-    if ns.command == "bounds":
-        return _cmd_bounds(ns)
-    if ns.command == "selftest":
-        return 0 if run_selftest(seed=ns.seed) else 2
-    _run_and_report(_experiment(ns, _KIND_OF_COMMAND[ns.command], ns.n, out=ns.out,
-                                format=ns.format))
-    return 0
+    return ns.handler(ns)
 
 
-def _experiment(ns: argparse.Namespace, kind: str, n: int, **output) -> ExperimentConfig:
-    """The config of one experiment of size ``n`` from the experiment flags."""
-    trials = ns.trials if ns.trials is not None else default_trials(kind)
-    return ExperimentConfig(kind=kind, n=n, m=ns.m, alpha=ns.alpha, beta=ns.beta,
+def _experiment(ns: argparse.Namespace, n: int, **output) -> ExperimentConfig:
+    """The config of one experiment of kind ``ns.kind`` and size ``n`` from the flags."""
+    trials = ns.trials if ns.trials is not None else KINDS[ns.kind].trials
+    return ExperimentConfig(kind=ns.kind, n=n, m=ns.m, alpha=ns.alpha, beta=ns.beta,
                             trials=trials, seed=ns.seed, coupling=ns.coupling,
                             workers=ns.workers, **output)
 
@@ -187,12 +179,12 @@ def _experiment(ns: argparse.Namespace, kind: str, n: int, **output) -> Experime
 def _note_budget(config: ExperimentConfig) -> None:
     """Say on stderr when the cores hold fewer processes than --workers asks for.
 
-    The bound battery runs in this process whatever --workers asks, so
-    it gets no note.
+    A kind without trials (the bound battery) runs in this process
+    whatever --workers asks, so it gets no note.
     """
     asked = min(config.workers, config.trials)
     budget = pool_budget(config.workers, config.trials)
-    if config.kind == "bounds-check" or budget.processes == asked:
+    if KINDS[config.kind].measure is None or budget.processes == asked:
         return
     note = (f"hgc: --workers {config.workers} runs as {budget.processes} "
             f"process{'es' if budget.processes > 1 else ''}: OpenBLAS uses "
@@ -211,6 +203,15 @@ def _run_and_report(config: ExperimentConfig) -> Report:
     if config.out:
         emit(report, config.format, config.out)
     return report
+
+
+def _cmd_experiment(ns) -> int:
+    _run_and_report(_experiment(ns, ns.n, out=ns.out, format=ns.format))
+    return 0
+
+
+def _cmd_selftest(ns) -> int:
+    return 0 if run_selftest(seed=ns.seed) else 2
 
 
 def _cmd_couple(ns) -> int:
@@ -247,7 +248,7 @@ def _cmd_sweep(ns) -> int:
     configs = []
     for n in dims:
         try:
-            configs.append(_experiment(ns, ns.kind, n))
+            configs.append(_experiment(ns, n))
         except ConfigError as exc:
             raise ConfigError(f"n={n}: {exc}") from exc
     _note_budget(configs[0])
@@ -326,7 +327,7 @@ def _summary(report: Report) -> str:
         head += f" coupling={agg['coupling']}"
     head += " |"
     bits = []
-    if cfg.kind == "bounds-check":
+    if "checks" in agg:
         worst = max(agg["checks"], key=lambda c: c["ratio"])
         verdict = "all dominated" if agg["all_dominated"] else "VIOLATED"
         bits.append(
@@ -334,43 +335,42 @@ def _summary(report: Report) -> str:
             f"worst ratio {worst['ratio']:.3f} ({worst['label']}: frequency "
             f"{worst['frequency']:.6g} vs bound {worst['bound']:.6g})"
         )
-    elif cfg.kind == "borel":
+    if "borel" in agg:
         p_value = theory.kolmogorov_pvalue(math.sqrt(agg["trials"]) * agg["ks"])
         bits.append(
             f"pooled sqrt(n) u_11: KS distance to N(0,1) = {agg['ks']:.4f} "
             f"(asymptotic Kolmogorov p = {p_value:.3g}), "
             f"sample mean {agg['borel']['mean']:.4f}"
         )
-    else:
-        if "sup_F" in agg:
-            pred = agg["theory"]["predicted"]
-            bits.append(
-                f"row norms q50: sup={agg['sup_F']['q50']:.4f} "
-                f"inf={agg['inf_F']['q50']:.4f} vs target {pred:.4f} "
-                f"(ratio_sup={agg['ratio_sup']['q50']:.4f}, "
-                f"ratio_inf={agg['ratio_inf']['q50']:.4f})"
-            )
-        if "g2_over_m" in agg:
-            bits.append(
-                f"split q50: |G|^2/m={agg['g2_over_m']['q50']:.5f} "
-                f"(alpha/2={agg['alpha'] / 2:.5f}), "
-                f"|H|^2/m={agg['h2_over_m']['q50']:.5f}, "
-                f"max|<G,H>|/m={agg['max_cross_over_m']['q50']:.5f}"
-            )
-        if "eps" in agg:
-            env = agg["theory"]
-            window = (
-                f" vs leading-order envelope [{env['eps_lower']:.4f}, "
-                f"{env['eps_upper']:.4f}]"
-                if "eps_lower" in env
-                else ""
-            )
-            bits.append(f"eps q50={agg['eps']['q50']:.4f}{window}")
-        if "eps_randomized" in agg:
-            bits.append(
-                f"randomized eps q50={agg['eps_randomized']['q50']:.4f}, "
-                f"improved in {randomized_wins(report)}/{agg['trials']} trials"
-            )
+    if "sup_F" in agg:
+        pred = agg["theory"]["predicted"]
+        bits.append(
+            f"row norms q50: sup={agg['sup_F']['q50']:.4f} "
+            f"inf={agg['inf_F']['q50']:.4f} vs target {pred:.4f} "
+            f"(ratio_sup={agg['ratio_sup']['q50']:.4f}, "
+            f"ratio_inf={agg['ratio_inf']['q50']:.4f})"
+        )
+    if "g2_over_m" in agg:
+        bits.append(
+            f"split q50: |G|^2/m={agg['g2_over_m']['q50']:.5f} "
+            f"(alpha/2={agg['alpha'] / 2:.5f}), "
+            f"|H|^2/m={agg['h2_over_m']['q50']:.5f}, "
+            f"max|<G,H>|/m={agg['max_cross_over_m']['q50']:.5f}"
+        )
+    if "eps" in agg:
+        env = agg["theory"]
+        window = (
+            f" vs leading-order envelope [{env['eps_lower']:.4f}, "
+            f"{env['eps_upper']:.4f}]"
+            if "eps_lower" in env
+            else ""
+        )
+        bits.append(f"eps q50={agg['eps']['q50']:.4f}{window}")
+    if "eps_randomized" in agg:
+        bits.append(
+            f"randomized eps q50={agg['eps_randomized']['q50']:.4f}, "
+            f"improved in {randomized_wins(report)}/{agg['trials']} trials"
+        )
     return head + " " + "; ".join(bits) + "."
 
 

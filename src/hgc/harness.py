@@ -22,6 +22,10 @@ itself takes precedence.
 
 Kinds
 -----
+``KINDS`` maps each kind's name to its :class:`Kind`: its subcommand,
+the function that measures one trial, its default trial count and the
+columns it draws.
+
 row-norms        truncated row norms of Y - sqrt(n) U vs sqrt(phi(alpha) m)
 gh-split         norms of the projection/residual split F = G + H
 epsilon          the supremum statistic eps_n(m) vs its envelope
@@ -51,12 +55,14 @@ import json
 import math
 import os
 import re
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -77,21 +83,9 @@ from .measure import (
 )
 from .rng import Seed, sample_gaussian
 
-KINDS = (
-    "row-norms",
-    "gh-split",
-    "epsilon",
-    "coupling-compare",
-    "borel",
-    "bounds-check",
-)
 PLAIN_GS = "plain-gs"
 RANDOMIZED = "randomized"
 COUPLINGS = (PLAIN_GS, RANDOMIZED)
-FORMATS = ("csv", "json", "svg")
-
-# Kinds that need no truncation size; they default to m = 1.
-_SIZELESS_KINDS = ("borel", "bounds-check")
 
 CSV_HEADER = (
     "kind,n,m,alpha,beta,trial,seed,coupling,sup_F,inf_F,mean_F,predicted,"
@@ -108,11 +102,6 @@ _SUMMARIZED = ("sup_F", "inf_F", "mean_F", "ratio_sup", "ratio_inf", "eps",
 # Python and in a JSON config alike.  True and False are never numbers,
 # though Python's bool is an int.
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
-
-
-def default_trials(kind: str) -> int:
-    """Default trial count: 200 for borel, 5 otherwise."""
-    return 200 if kind == "borel" else 5
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,7 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+            raise ConfigError(f"unknown kind {self.kind!r}; expected one of {tuple(KINDS)}")
         if self.coupling not in COUPLINGS:
             raise ConfigError(f"unknown coupling {self.coupling!r}")
         if self.format not in FORMATS:
@@ -152,13 +141,11 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         Seed(self.seed)
         given = sum(v is not None for v in (self.m, self.alpha, self.beta))
-        if given > 1:
+        # A kind that draws a fixed column count needs no size; m defaults to 1.
+        if given > 1 or given == 0 and KINDS[self.kind].columns is None:
             raise ConfigError("give exactly one of m, alpha, beta")
         if given == 0:
-            if self.kind in _SIZELESS_KINDS:
-                object.__setattr__(self, "m", 1)
-            else:
-                raise ConfigError("give exactly one of m, alpha, beta")
+            object.__setattr__(self, "m", 1)
         self.resolved_m()
 
     def resolved_m(self) -> int:
@@ -228,7 +215,7 @@ def run(config: ExperimentConfig) -> Report:
     that dies and breaks the pool, as one naming the first trial without
     a result.
     """
-    if config.kind == "bounds-check":
+    if KINDS[config.kind].measure is None:
         return _bounds_battery(config)
     processes = _check_fits(config)
     results = []
@@ -279,12 +266,7 @@ def emit(report, format: str, path: str) -> None:
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown format {format!r}")
-    if format == "csv":
-        text = render_csv(report)
-    elif format == "json":
-        text = render_json(report)
-    else:
-        text = render_svg(report)
+    text = FORMATS[format](report)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -364,8 +346,8 @@ def _check_footprint(n: int, m: int, processes: int, blocks: int = 3) -> None:
 
 
 def _drawn_columns(config: ExperimentConfig) -> int:
-    """The columns of Y a trial of ``config`` draws: one for borel, else m."""
-    return 1 if config.kind == "borel" else config.resolved_m()
+    """The columns of Y a trial of ``config`` draws: its kind's own count, else m."""
+    return KINDS[config.kind].columns or config.resolved_m()
 
 
 def _check_fits(config: ExperimentConfig) -> int:
@@ -387,11 +369,16 @@ def _trial_map(processes: int, trials: int):
     once, not once per trial.  :func:`run` takes ``processes`` from
     :func:`pool_budget`, so a pool is forked only when the cores can
     hold its processes beside each one's OpenBLAS threads.
+
+    A worker takes SIGINT's default action, so an interrupt of the
+    process group ends it at once and without a traceback, busy or idle;
+    the parent alone reports the interrupt.
     """
     if processes == 1:
         yield map
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=processes, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
             yield partial(pool.map, chunksize=math.ceil(trials / processes))
 
 
@@ -410,43 +397,60 @@ def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:
 
 
 def _trial(config: ExperimentConfig, t: int) -> TrialResult:
-    n = config.n
     trial_seed = Seed(config.seed, (t,))
-    y = sample_gaussian(n, _drawn_columns(config), trial_seed)
-    if config.kind == "borel":
-        # Column 1 of U is column 1 of Y normalized, so sqrt(n) u_11 needs
-        # no coupling.  numpy's pairwise sum, unlike a BLAS dot, does not
-        # depend on the thread count.
-        u_11 = y[0, 0] / math.sqrt(float(np.square(y).sum()))
-        return TrialResult(trial=t, seed=trial_seed,
-                           rows=({"mean_F": float(math.sqrt(n) * u_11)},))
-    m = y.shape[1]
-    pair = gram_schmidt_couple(y)
+    y = sample_gaussian(config.n, _drawn_columns(config), trial_seed)
+    return TrialResult(trial=t, seed=trial_seed, rows=KINDS[config.kind].measure(config, t, y))
 
-    # The rotation diag(V_m, I) maps F to F V_m, which keeps every row
-    # norm, every G/H norm and every cross term <G_i, H_i>: of all the
-    # statistics only eps sees it.  So every kind reads its row
-    # statistics off the plain pair, and V_m is drawn only for the eps
-    # of a row of the randomized coupling.
-    if config.kind == "gh-split":
-        deco = decompose_gh(pair, m)
-        row = _row_norm_columns(deco.f_norms, n, m)
-        row.update(
-            g2_over_m=float(np.mean(deco.g_norms**2) / m),
-            h2_over_m=float(np.mean(deco.h_norms**2) / m),
-            max_cross_over_m=float(np.abs(deco.cross).max() / m),
-        )
-        rows = (row,)
-    else:
-        row = _row_norm_columns(truncated_row_norms(pair.y, pair.u, m), n, m)
-        rows = (row,)
-        rotation = Seed(config.seed, (t, 1))
-        if config.kind == "epsilon":
-            row["eps"] = _eps(pair, m, config.coupling, rotation)
-        elif config.kind == "coupling-compare":
-            row.update(coupling=PLAIN_GS, eps=_eps(pair, m, PLAIN_GS, rotation))
-            rows = (row, {"coupling": RANDOMIZED, "eps": _eps(pair, m, RANDOMIZED, rotation)})
-    return TrialResult(trial=t, seed=trial_seed, rows=rows)
+
+def _plain_pair(y: np.ndarray) -> tuple[CoupledPair, dict]:
+    """The plain pair of ``y`` and its row-norm columns.
+
+    The rotation diag(V_m, I) maps F to F V_m, which keeps every row
+    norm, every G/H norm and every cross term <G_i, H_i>: of all the
+    statistics only eps sees it.  So every kind reads its row
+    statistics off the plain pair, and V_m is drawn only for the eps
+    of a row of the randomized coupling.
+    """
+    n, m = y.shape
+    pair = gram_schmidt_couple(y)
+    return pair, _row_norm_columns(truncated_row_norms(pair.y, pair.u, m), n, m)
+
+
+def _measure_row_norms(config: ExperimentConfig, t: int, y: np.ndarray) -> tuple[dict, ...]:
+    return (_plain_pair(y)[1],)
+
+
+def _measure_gh_split(config: ExperimentConfig, t: int, y: np.ndarray) -> tuple[dict, ...]:
+    n, m = y.shape
+    deco = decompose_gh(gram_schmidt_couple(y), m)
+    row = _row_norm_columns(deco.f_norms, n, m)
+    row.update(
+        g2_over_m=float(np.mean(deco.g_norms**2) / m),
+        h2_over_m=float(np.mean(deco.h_norms**2) / m),
+        max_cross_over_m=float(np.abs(deco.cross).max() / m),
+    )
+    return (row,)
+
+
+def _measure_epsilon(config: ExperimentConfig, t: int, y: np.ndarray) -> tuple[dict, ...]:
+    pair, row = _plain_pair(y)
+    row["eps"] = _eps(pair, y.shape[1], config.coupling, Seed(config.seed, (t, 1)))
+    return (row,)
+
+
+def _measure_compare(config: ExperimentConfig, t: int, y: np.ndarray) -> tuple[dict, ...]:
+    pair, row = _plain_pair(y)
+    m, rotation = y.shape[1], Seed(config.seed, (t, 1))
+    row.update(coupling=PLAIN_GS, eps=_eps(pair, m, PLAIN_GS, rotation))
+    return row, {"coupling": RANDOMIZED, "eps": _eps(pair, m, RANDOMIZED, rotation)}
+
+
+def _measure_borel(config: ExperimentConfig, t: int, y: np.ndarray) -> tuple[dict, ...]:
+    # Column 1 of U is column 1 of Y normalized, so sqrt(n) u_11 needs
+    # no coupling.  numpy's pairwise sum, unlike a BLAS dot, does not
+    # depend on the thread count.
+    u_11 = y[0, 0] / math.sqrt(float(np.square(y).sum()))
+    return ({"mean_F": float(math.sqrt(config.n) * u_11)},)
 
 
 def _eps(pair: CoupledPair, m: int, coupling: str, rotation: Seed) -> float:
@@ -468,6 +472,33 @@ def _row_norm_columns(f_norms: np.ndarray, n: int, m: int) -> dict:
         "ratio_sup": sup / predicted,
         "ratio_inf": inf / predicted,
     }
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one experiment kind is.
+
+    ``command`` is its CLI subcommand; ``measure(config, t, y)`` turns
+    trial t's draw ``y`` into the trial's CSV rows; ``trials`` is the
+    default trial count.  A kind with ``columns`` set draws that many
+    columns of Y whatever m is, and needs no truncation size (m
+    defaults to 1).  A kind without ``measure`` runs no trials.
+    """
+
+    command: str | None
+    measure: Callable | None
+    trials: int = 5
+    columns: int | None = None
+
+
+KINDS = {
+    "row-norms": Kind("rownorms", _measure_row_norms),
+    "gh-split": Kind("gh", _measure_gh_split),
+    "epsilon": Kind("epsilon", _measure_epsilon),
+    "coupling-compare": Kind("compare", _measure_compare),
+    "borel": Kind("borel", _measure_borel, trials=200, columns=1),
+    "bounds-check": Kind(None, None, columns=1),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +576,8 @@ def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> dict:
     }
     rows = [row for r in results for row in r.rows]
 
-    if config.kind == "borel":
+    # A kind that draws a fixed column count pools one value per trial.
+    if KINDS[config.kind].columns:
         pooled = [row["mean_F"] for row in rows]
         agg["borel"] = summarize(pooled)
         agg["ks"] = ks_statistic(pooled)
@@ -733,6 +765,9 @@ def render_svg(report) -> str:
     return "\n".join(parts) + "\n"
 
 
+FORMATS = {"csv": render_csv, "json": render_json, "svg": render_svg}
+
+
 def config_from_json(source) -> ExperimentConfig:
     """Build a config from the JSON schema (text, file object, or dict)."""
     try:
@@ -749,4 +784,7 @@ def config_from_json(source) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "kind" not in data or "n" not in data:
         raise ConfigError("JSON config requires 'kind' and 'n'")
-    return ExperimentConfig(**{"trials": default_trials(data["kind"]), **data})
+    # A kind that is not a str is not looked up: a list cannot be hashed.
+    kind = data["kind"]
+    trials = KINDS[kind].trials if isinstance(kind, str) and kind in KINDS else 1
+    return ExperimentConfig(**{"trials": trials, **data})

@@ -190,16 +190,16 @@ def beta_interval(beta: float) -> tuple[float, float]:
 def sphere_sup_threshold(n: int, m: int, slack: float) -> tuple[float, float]:
     """Sup-entry thresholds for m uniform unit vectors in R^n.
 
-    Returns the sup-entry window divided by sqrt(n), for n >= 2 within
-    float range, m >= 1 and 0 <= slack < 1: above upper = (1+slack)
+    Returns the sup-entry window divided by sqrt(n), for n >= 2 and
+    m >= 1 within float range and 0 <= slack < 1: above upper = (1+slack)
     sqrt(2 ln(nm))/sqrt(n) the supremum over all entries lands with
     vanishing probability; below lower = (1-slack) sqrt(2 ln n)/sqrt(n)
     each vector's own sup entry falls with vanishing probability (for
     m <= alpha n).
     """
     _check_sizes(n, 1)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    if not 1 <= m <= sys.float_info.max:
+        raise DomainError(f"m must lie in [1, {sys.float_info.max:g}], got {m}")
     lower, upper = _sup_entry_window(n, m, slack)
     return lower / math.sqrt(n), upper / math.sqrt(n)
 

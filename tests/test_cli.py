@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -36,6 +37,26 @@ def test_rownorms_writes_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4  # header + 3 data rows
     assert lines[0].startswith("kind,n,m,alpha,beta,trial,seed,coupling")
+
+
+@pytest.mark.parametrize(
+    "command, kind, trials",
+    [
+        ("rownorms", "row-norms", 5),
+        ("gh", "gh-split", 5),
+        ("epsilon", "epsilon", 5),
+        ("compare", "coupling-compare", 5),
+        ("borel", "borel", 200),
+    ],
+)
+def test_each_command_runs_its_kind_with_its_default_trials(tmp_path, command, kind, trials):
+    out = tmp_path / "out.json"
+    code, stdout, _ = invoke([command, "--n", "8", "--m", "2", "--format", "json",
+                              "--out", str(out)])
+    assert code == 0
+    assert stdout.startswith(f"{kind}: n=8 ")
+    config = json.loads(out.read_text())["config"]
+    assert (config["kind"], config["trials"]) == (kind, trials)
 
 
 def test_two_size_flags_exit_1():
@@ -266,6 +287,7 @@ def test_config_file_runs(tmp_path):
         ('{"kind": "row-norms", "n": "abc", "m": 2}', "n"),
         ('{"kind": "row-norms", "n": 16, "alpha": true}', "alpha"),
         ('{"kind": 3, "n": 16, "m": 2}', "kind"),
+        ('{"kind": [1], "n": 16, "m": 2}', "kind"),
         ('{"kind": "row-norms", "n": 16, "m": 2, "out": 5}', "out"),
     ],
 )
@@ -593,11 +615,40 @@ def test_selftest_bad_seed_exits_1():
     ],
 )
 def test_python_dash_m_runs_the_cli(module, argv, code, stream, text):
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     assert text in getattr(proc, stream)
     assert "Traceback" not in proc.stderr
+
+
+def _cli_env(**extra):
+    """The environment of a child ``python -m hgc`` that imports this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+@pytest.mark.parametrize("workers", [
+    "1",
+    pytest.param("2", marks=pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="a pool needs two cores")),
+])
+def test_interrupt_exits_130_with_one_line(workers):
+    # SIGINT to the whole process group, as Ctrl-C in a terminal sends it.
+    # One OpenBLAS thread per process lets --workers 2 fork a pool.
+    argv = ["gh", "--n", "1024", "--alpha", "1", "--trials", "200", "--workers", workers]
+    proc = subprocess.Popen([sys.executable, "-m", "hgc", *argv],
+                            env=_cli_env(OPENBLAS_NUM_THREADS="1"), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        time.sleep(1.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err == "interrupted\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -83,7 +84,9 @@ def test_alpha_resolution_floor():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError):
+    message = ("unknown kind 'nope'; expected one of ('row-norms', 'gh-split', 'epsilon', "
+               "'coupling-compare', 'borel', 'bounds-check')")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(kind="nope", n=8, m=2)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="row-norms", n=8, m=2, trials=0)
@@ -166,9 +169,9 @@ def test_each_worker_runs_one_contiguous_chunk(monkeypatch, two_pool_processes):
     monkeypatch.setattr(harness, "_trial_task", _trial_with_pid)
     pools = []
 
-    def pool(max_workers):
+    def pool(max_workers, **kwargs):
         pools.append(max_workers)
-        return ProcessPoolExecutor(max_workers)
+        return ProcessPoolExecutor(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
 
@@ -187,6 +190,13 @@ def test_each_worker_runs_one_contiguous_chunk(monkeypatch, two_pool_processes):
     assert pools == [2, 2]
     assert pids(4, 1) == [os.getpid()]
     assert pools == [2, 2]
+
+
+def test_pool_workers_take_the_default_action_on_sigint():
+    # An interrupt of the process group ends an idle worker at once; a
+    # KeyboardInterrupt there would print a traceback.
+    with harness._trial_map(2, 2) as trial_map:
+        assert list(trial_map(signal.getsignal, [signal.SIGINT] * 2)) == [signal.SIG_DFL] * 2
 
 
 @pytest.mark.parametrize(

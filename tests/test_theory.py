@@ -271,6 +271,10 @@ def test_sphere_sup_threshold_values():
     assert square[1] / square[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     with pytest.raises(DomainError):
         sphere_sup_threshold(500, 0, 0.0)
+    # m infinite or NaN is refused, not taken to an infinite or NaN edge
+    for m in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"^m must lie in \[1, "):
+            sphere_sup_threshold(500, m, 0.0)
     # n past float range, infinite or NaN is refused, not taken to sqrt
     for n in (10**400, math.inf, math.nan):
         with pytest.raises(DomainError, match=r"^n must lie in \[1, "):
