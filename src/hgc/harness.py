@@ -577,7 +577,7 @@ def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> dict:
     rows = [row for r in results for row in r.rows]
 
     # A kind that draws a fixed column count pools one value per trial.
-    if KINDS[config.kind].columns:
+    if KINDS[config.kind].columns is not None:
         pooled = [row["mean_F"] for row in rows]
         agg["borel"] = summarize(pooled)
         agg["ks"] = ks_statistic(pooled)
