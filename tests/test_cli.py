@@ -632,7 +632,7 @@ def _cli_env(**extra):
 @pytest.mark.parametrize("workers", [
     "1",
     pytest.param("2", marks=pytest.mark.skipif(
-        len(os.sched_getaffinity(0)) < 2, reason="a pool needs two cores")),
+        harness._usable_cores() < 2, reason="a pool needs two cores")),
 ])
 def test_interrupt_exits_130_with_one_line(workers):
     # SIGINT to the whole process group, as Ctrl-C in a terminal sends it.
