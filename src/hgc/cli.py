@@ -217,9 +217,7 @@ def _cmd_selftest(ns) -> int:
 def _cmd_couple(ns) -> int:
     if ns.n < 1:
         raise ConfigError(f"n must be >= 1, got {ns.n}")
-    # The n x n coupling peaks at about 5 n x n blocks, Y included, inside
-    # numpy's Householder QR (5.2 by ru_maxrss at n = 3000).
-    _check_footprint(ns.n, ns.n, 1, blocks=5)
+    _check_footprint(ns.n, ns.n, 1)
     pair = gram_schmidt_couple(sample_gaussian(ns.n, ns.n, Seed(ns.seed, (0,))))
     orth = float(np.abs(pair.u.T @ pair.u - np.eye(ns.n)).max())
     recon = pair.y - pair.u @ pair.trace

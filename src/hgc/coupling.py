@@ -127,10 +127,15 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     n, k = y.shape
     threshold = DEGENERACY_FACTOR * math.sqrt(n)
 
-    factors = _cholesky_qr(y, threshold) if 4 * k <= n else None
+    factors = _cholesky_qr(y, threshold) if _takes_cholesky_qr(n, k) else None
     u, trace = factors if factors is not None else _householder_qr(y, threshold)
     residual_norms = np.diag(trace).copy()
     return CoupledPair(y=y, u=u, residual_norms=residual_norms, trace=trace, n=n)
+
+
+def _takes_cholesky_qr(n: int, k: int) -> bool:
+    """Whether an n x k block is first tried on the one-pass CholeskyQR path."""
+    return 4 * k <= n
 
 
 def _householder_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:

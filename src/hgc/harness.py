@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from . import theory
-from .coupling import CoupledPair, gram_schmidt_couple, randomized_couple
+from .coupling import CoupledPair, _takes_cholesky_qr, gram_schmidt_couple, randomized_couple
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -322,16 +322,18 @@ def pool_budget(workers: int, trials: int) -> PoolBudget:
     return PoolBudget(min(workers, trials, max(1, cores // threads)), threads, cores)
 
 
-def _check_footprint(n: int, m: int, processes: int, blocks: int = 3) -> None:
+def _check_footprint(n: int, m: int, processes: int) -> None:
     """Refuse work whose n x m blocks on ``processes`` processes cannot fit in memory.
 
-    Each process holds ``blocks`` n x m blocks of doubles at the same
-    time (a trial: its block's Y, U and F, or the QR's working copy of
-    Y), so ``blocks`` n m 8 bytes per process is a lower bound on the
+    Each process holds at least the blocks of doubles that coupling its
+    n x m block needs at the same time: two (Y and U) on the CholeskyQR
+    path, five (Y and numpy's working copies) inside the Householder QR.
+    So that many n m 8 bytes per process is a lower bound on the
     footprint: work this refuses could not have fit in physical memory.
     Where ``os.sysconf`` cannot tell the physical memory, nothing is
     checked.
     """
+    blocks = 2 if _takes_cholesky_qr(n, m) else 5
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):

@@ -6,11 +6,19 @@ F_i into its projection part G_i and residual-rescaling part H_i, the
 supremum statistic eps_n(m) over the n x m block, and the distribution
 diagnostics (Kolmogorov-Smirnov distance, order statistics).
 
-Every statistic of the pair reads one n x m block, F = the first m
-columns of Y - sqrt(n) U, formed in one place.  Column j of H is
+Every statistic of the pair reads F, the first m columns of
+Y - sqrt(n) U, formed in one place.  Column j of H is
 (r_j - sqrt(n)) nu_j, and G = F - H; since Y = U R, that equals
 U striu(R), the projection of each y_j onto the earlier columns, up to
 rounding.
+
+Each statistic is a function of one row at a time, so F, G and H are
+formed one panel of rows at a time, about 256 KiB each, and never as
+n x m blocks.  Every step is elementwise or within a row, so the
+results are bitwise those of the whole block.  The one exception is a
+panel of a single row of a Fortran-ordered block, which numpy sums
+pairwise and not in column order, so a one-row tail joins the panel
+before it.
 """
 
 from __future__ import annotations
@@ -41,31 +49,28 @@ class RowBlockDecomposition:
 
 def truncated_row_norms(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
     """Euclidean norms of the first m coordinates of each row of Y - sqrt(n) U."""
-    return _row_norms_in_place(_residual_block(y, u, m))
+    panels = _panels(_check_block(y, u, m), m)
+    return np.concatenate([_row_norms_in_place(_residual_rows(y, u, m, rows)) for rows in panels])
 
 
 def decompose_gh(pair: CoupledPair, m: int) -> RowBlockDecomposition:
     """Row-wise norms and cross terms of the F = G + H split.
 
-    F and H are formed once, and G = F - H in its own buffer; the cross
-    terms <G_i, H_i> are read first.  Then each of the three blocks is
-    squared in place for its row norms, so no fourth n x m block is made.
+    F, H and G = F - H are formed one panel of rows at a time, and each
+    panel's row results are read off it in place (:func:`_gh_rows`).
     """
-    f, h = _residual_split(pair, m)
-    g = f - h
-    cross = np.einsum("ij,ij->i", g, h)
-    return RowBlockDecomposition(
-        f_norms=_row_norms_in_place(f),
-        g_norms=_row_norms_in_place(g),
-        h_norms=_row_norms_in_place(h),
-        cross=cross,
-    )
+    panels = _panels(_check_block(pair.y, pair.u, m), m)
+    parts = [_gh_rows(*_split_rows(pair, m, rows)) for rows in panels]
+    f_norms, g_norms, h_norms, cross = (np.concatenate(part) for part in zip(*parts))
+    return RowBlockDecomposition(f_norms=f_norms, g_norms=g_norms, h_norms=h_norms, cross=cross)
 
 
 def epsilon_sup(y: np.ndarray, u: np.ndarray, m: int) -> float:
     """eps_n(m): the max-absolute entry of the n x m block of Y - sqrt(n) U."""
-    f = _residual_block(y, u, m)
-    return float(np.abs(f, out=f).max())
+    panels = _panels(_check_block(y, u, m), m)
+    maxima = [np.abs(f, out=f).max() for f in (_residual_rows(y, u, m, rows) for rows in panels)]
+    # np.max, unlike the builtin, keeps a NaN whatever panel it is in.
+    return float(np.max(maxima))
 
 
 def ks_statistic(samples) -> float:
@@ -108,15 +113,38 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _residual_block(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
-    """F, the first m columns of Y - sqrt(n) U, as one new array in u's layout.
+# Bytes of one panel of F: 32768 doubles, 128 rows at m = 256.
+_PANEL_BYTES = 2**18
 
-    ``(-sqrt(n) u) + y`` is bitwise ``y - sqrt(n) u``, since negation is
-    exact; it needs no second n x m temporary.
+
+def _panels(n: int, m: int) -> list[slice]:
+    """Row slices of an n x m block, about ``_PANEL_BYTES`` each.
+
+    No panel has a single row unless n = 1: a short tail joins the panel
+    before it.
     """
-    n = _check_block(y, u, m)
-    f = np.multiply(u[:, :m], -math.sqrt(n), order="K")
-    f += y[:, :m]
+    size = max(2, _PANEL_BYTES // (8 * m))
+    starts = list(range(0, n, size))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
+def _residual_block(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
+    """F, the first m columns of Y - sqrt(n) U, as one new array in u's layout."""
+    _check_block(y, u, m)
+    return _residual_rows(y, u, m, slice(None))
+
+
+def _residual_rows(y: np.ndarray, u: np.ndarray, m: int, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of F as one new array in u's layout.
+
+    sqrt(n) is that of all n rows, not of the panel.  ``(-sqrt(n) u) + y``
+    is bitwise ``y - sqrt(n) u``, since negation is exact; it needs no
+    second temporary.
+    """
+    f = np.multiply(u[rows, :m], -math.sqrt(y.shape[0]), order="K")
+    f += y[rows, :m]
     return f
 
 
@@ -131,8 +159,25 @@ def _row_norms_in_place(a: np.ndarray) -> np.ndarray:
 
 def _residual_split(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
     """F and H of the pair's first m columns, both in u's layout."""
-    f = _residual_block(pair.y, pair.u, m)
-    return f, (pair.residual_norms[:m] - math.sqrt(pair.n)) * pair.u[:, :m]
+    _check_block(pair.y, pair.u, m)
+    return _split_rows(pair, m, slice(None))
+
+
+def _split_rows(pair: CoupledPair, m: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of F and H, both in u's layout."""
+    f = _residual_rows(pair.y, pair.u, m, rows)
+    return f, (pair.residual_norms[:m] - math.sqrt(pair.n)) * pair.u[rows, :m]
+
+
+def _gh_rows(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row norms of F, G = F - H and H, and the cross terms <G_i, H_i>.
+
+    G gets its own buffer and the cross terms are read before F, G and
+    H are squared in place.
+    """
+    g = f - h
+    cross = np.einsum("ij,ij->i", g, h)
+    return _row_norms_in_place(f), _row_norms_in_place(g), _row_norms_in_place(h), cross
 
 
 def _check_block(y: np.ndarray, u: np.ndarray, m: int) -> int:

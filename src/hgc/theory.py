@@ -158,7 +158,9 @@ def _sup_entry_window(n: int, m: int, slack: float) -> tuple[float, float]:
     if not 0.0 <= slack < 1.0:
         raise DomainError(f"slack must lie in [0, 1), got {slack}")
     lower = (1.0 - slack) * math.sqrt(2.0 * math.log(n))
-    return lower, (1.0 + slack) * math.sqrt(2.0 * math.log(n * m))
+    # n m can pass float range when n and m do not; ln n + ln m stays finite.
+    log_nm = math.log(n * m) if n * m < math.inf else math.log(n) + math.log(m)
+    return lower, (1.0 + slack) * math.sqrt(2.0 * log_nm)
 
 
 def epsilon_envelope(n: int, m: int, slack: float) -> tuple[float, float]:

@@ -506,8 +506,22 @@ def test_oversized_run_is_refused_before_it_draws(monkeypatch, capfd):
     assert code == 1
     assert out == ""
     assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
-                          "24,000,000,000,000 bytes")
+                          "40,000,000,000,000 bytes (5 n m 8 per process)")
     assert "bytes of physical memory" in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err + capfd.readouterr().err
+
+
+def test_oversized_tall_run_is_refused_by_its_two_blocks(monkeypatch, capfd):
+    # 4 m <= n: the CholeskyQR path holds the block's Y and U.
+    def no_draw(*args):
+        raise AssertionError("an oversized run drew its sample")
+
+    monkeypatch.setattr(harness, "sample_gaussian", no_draw)
+    code, out, err = invoke(["rownorms", "--n", "10000000", "--m", "100000"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: n=10000000, m=100000 on 1 process(es) needs at least "
+                          "16,000,000,000,000 bytes (2 n m 8 per process)")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
 

@@ -276,12 +276,23 @@ def test_a_capped_run_forks_nothing(monkeypatch):
 
 
 def test_footprint_bound_counts_every_process(monkeypatch):
-    # 8 MiB of physical memory; a 512 x 256 trial holds 3 MiB.
-    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}.get)
+    # 12 MiB of physical memory; a 512 x 256 trial takes the Householder
+    # path and holds 5 blocks of 1 MiB.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 3072, "SC_PAGE_SIZE": 4096}.get)
     harness._check_footprint(512, 256, 2)
-    with pytest.raises(ConfigError, match=r"on 3 process\(es\) needs at least 9,437,184 "
-                                          r"bytes .* the 8,388,608 bytes of physical"):
+    with pytest.raises(ConfigError, match=r"on 3 process\(es\) needs at least 15,728,640 "
+                                          r"bytes .* the 12,582,912 bytes of physical"):
         harness._check_footprint(512, 256, 3)
+
+
+@pytest.mark.parametrize("m, blocks", [(256, 2), (257, 5)])
+def test_footprint_counts_the_blocks_of_the_coupling_path(monkeypatch, m, blocks):
+    # 1 MiB of physical memory: n = 1024 takes CholeskyQR up to m = 256
+    # (Y and U) and the Householder QR past it (Y and 4 working blocks).
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+    with pytest.raises(ConfigError, match=rf"needs at least {blocks * 1024 * m * 8:,} "
+                                          rf"bytes \({blocks} n m 8 per process\)"):
+        harness._check_footprint(1024, m, 1)
 
 
 def test_footprint_is_not_checked_without_sysconf_names(monkeypatch):
@@ -404,7 +415,7 @@ def test_borel_entry_is_the_coupled_u_11(n):
 
 
 def test_borel_footprint_counts_one_column(monkeypatch):
-    # 4 MiB of physical memory: three 1000 x 1000 blocks do not fit, one
+    # 4 MiB of physical memory: five 1000 x 1000 blocks do not fit, one
     # column does.
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}.get)
     report = run(ExperimentConfig(kind="borel", n=1000, alpha=1.0, trials=2, seed=1))

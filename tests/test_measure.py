@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hgc import (
     summarize,
     truncated_row_norms,
 )
+from hgc import measure
 from hgc.measure import _residual_block, _residual_split
 
 
@@ -122,19 +124,101 @@ def test_decomposition_invariants():
     assert abs(row_sq - col_sq) <= 1e-9 * row_sq
 
 
+def full_block_reference(pair, m):
+    # F, G and H as whole n x m blocks, read by the library calls.
+    f, h = _residual_split(pair, m)
+    g = f - h
+    return {
+        "rownorms": np.linalg.norm(_residual_block(pair.y, pair.u, m), axis=1),
+        "f": np.linalg.norm(f, axis=1),
+        "g": np.linalg.norm(g, axis=1),
+        "h": np.linalg.norm(h, axis=1),
+        "cross": np.einsum("ij,ij->i", g, h),
+        "eps": float(np.abs(f).max()),
+    }
+
+
+def assert_panels_match_full_block(pair, m):
+    want = full_block_reference(pair, m)
+    deco = decompose_gh(pair, m)
+    assert np.array_equal(truncated_row_norms(pair.y, pair.u, m), want["rownorms"])
+    assert np.array_equal(deco.f_norms, want["f"])
+    assert np.array_equal(deco.g_norms, want["g"])
+    assert np.array_equal(deco.h_norms, want["h"])
+    assert np.array_equal(deco.cross, want["cross"])
+    assert epsilon_sup(pair.y, pair.u, m) == want["eps"]
+
+
 @pytest.mark.parametrize("n, m", [(64, 20), (300, 50), (96, 96)])
 def test_norms_match_library_norm_bitwise(n, m):
     # The norms square their own temporaries in place; the sums are the
     # library's, term for term and in the same order.
-    pair = gram_schmidt_couple(sample_gaussian(n, m, Seed(9, (0,))))
-    f = _residual_block(pair.y, pair.u, m)
-    assert np.array_equal(truncated_row_norms(pair.y, pair.u, m), np.linalg.norm(f, axis=1))
-    deco = decompose_gh(pair, m)
-    g, h = gh_matrices(pair, m)
-    assert np.array_equal(deco.f_norms, np.linalg.norm(f, axis=1))
-    assert np.array_equal(deco.g_norms, np.linalg.norm(g, axis=1))
-    assert np.array_equal(deco.h_norms, np.linalg.norm(h, axis=1))
-    assert np.array_equal(deco.cross, np.einsum("ij,ij->i", g, h))
+    assert_panels_match_full_block(gram_schmidt_couple(sample_gaussian(n, m, Seed(9, (0,)))), m)
+
+
+@pytest.mark.parametrize(
+    "n, m, last",
+    [
+        (2197, 268, 123),  # 122-row panels; the 1-row tail joins the panel before it
+        (2198, 268, 2),  # a 2-row tail stays a panel of its own
+        (512, 64, 512),  # exactly one panel
+        (513, 64, 513),  # one panel and a 1-row tail
+        (100, 1, 100),
+    ],
+)
+def test_panels_of_a_tall_fortran_pair_match_the_full_block(n, m, last):
+    # The CholeskyQR path returns u Fortran-ordered, where numpy sums a
+    # panel of one row in another order than a panel of two or more.
+    pair = gram_schmidt_couple(sample_gaussian(n, m, Seed(4, (n,))))
+    assert pair.u.flags.f_contiguous
+    panel = measure._panels(n, m)[-1]
+    assert panel.stop - panel.start == last
+    assert_panels_match_full_block(pair, m)
+
+
+@pytest.mark.parametrize("n, m", [(300, 300), (300, 120), (300, 1), (1, 1)])
+def test_panels_of_a_householder_pair_match_the_full_block(n, m):
+    pair = gram_schmidt_couple(sample_gaussian(n, n, Seed(4, (n,))))
+    assert pair.u.flags.c_contiguous
+    assert_panels_match_full_block(pair, m)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5])
+@pytest.mark.parametrize("n, k", [(301, 60), (97, 97)])
+def test_small_panels_match_the_full_block(monkeypatch, rows, n, k):
+    # Panels of a few rows, in both layouts, with every tail length.
+    m = k - 7
+    monkeypatch.setattr(measure, "_PANEL_BYTES", rows * 8 * m)
+    pair = gram_schmidt_couple(sample_gaussian(n, k, Seed(6, (n,))))
+    assert {p.stop - p.start for p in measure._panels(n, m)} <= set(range(2, rows + 2))
+    assert_panels_match_full_block(pair, m)
+
+
+def test_panels_cover_every_row_once():
+    for n in (1, 2, 3, 121, 122, 123, 244, 245, 2197):
+        panels = measure._panels(n, 268)
+        assert [p.start for p in panels[1:]] == [p.stop for p in panels[:-1]]
+        assert (panels[0].start, panels[-1].stop) == (0, n)
+        assert n == 1 or min(p.stop - p.start for p in panels) >= 2
+
+
+@pytest.mark.parametrize("n, m", [(1024, 1024), (4096, 512)])
+def test_measure_holds_no_n_by_m_block(n, m):
+    # Each call's own allocations peak at a few panels, far below one block.
+    pair = gram_schmidt_couple(sample_gaussian(n, m, Seed(8, (n,))))
+    calls = {
+        "rownorms": lambda: truncated_row_norms(pair.y, pair.u, m),
+        "gh": lambda: decompose_gh(pair, m),
+        "eps": lambda: epsilon_sup(pair.y, pair.u, m),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * m * 8, name
 
 
 def test_decompose_range_check():

@@ -284,6 +284,27 @@ def test_sphere_sup_threshold_values():
             sphere_sup_threshold(500, 20, slack)
 
 
+def test_sup_window_is_finite_where_n_m_overflows():
+    # n m passes float range in both calls, so ln(n m) is read as ln n + ln m.
+    lower, upper = sphere_sup_threshold(500, 1e308, 0.0)
+    assert upper == pytest.approx(math.sqrt(2 * (math.log(500) + math.log(1e308)) / 500), rel=1e-15)
+    assert 0 < lower < upper < math.inf
+    lower, upper = epsilon_envelope(1e200, 1e200, 0.0)
+    assert upper == pytest.approx(lower * math.sqrt(2.0), rel=1e-15)
+    assert 0 < lower < upper < math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 500, 4096, 10**6, 10**12, 1e150])
+@pytest.mark.parametrize("frac", [1e-9, 0.01, 0.3, 1.0])
+def test_sup_window_upper_edge_is_unchanged_in_range(n, frac):
+    # Where n m is finite the upper edge is bitwise sqrt(2 ln(n m)), scaled.
+    m = max(1, math.floor(frac * n))
+    for slack in (0.0, 0.1):
+        edge = (1.0 + slack) * math.sqrt(2.0 * math.log(n * m))
+        assert sphere_sup_threshold(n, m, slack)[1] == edge / math.sqrt(n)
+        assert epsilon_envelope(n, m, slack)[1] == edge * math.sqrt(phi(m / n))
+
+
 # --- cross-check every calculator against 50-digit evaluation ---------------
 
 
