@@ -217,13 +217,19 @@ def _cmd_selftest(ns) -> int:
 def _cmd_couple(ns) -> int:
     if ns.n < 1:
         raise ConfigError(f"n must be >= 1, got {ns.n}")
-    _check_footprint(ns.n, ns.n, 1)
+    # Y, U and R, and one n x n block of diagnostics at a time.
+    _check_footprint(ns.n, ns.n, 1, extra=1)
     pair = gram_schmidt_couple(sample_gaussian(ns.n, ns.n, Seed(ns.seed, (0,))))
-    orth = float(np.abs(pair.u.T @ pair.u - np.eye(ns.n)).max())
-    recon = pair.y - pair.u @ pair.trace
-    rel = float(
-        (np.linalg.norm(recon, axis=0) / np.linalg.norm(pair.y, axis=0)).max()
-    )
+    gram = pair.u.T @ pair.u
+    gram[np.diag_indices(ns.n)] -= 1.0
+    orth = float(np.abs(gram, out=gram).max())
+    del gram
+    y_norms = np.linalg.norm(pair.y, axis=0)
+    # The column norms of Y - U R, squared and summed as np.linalg.norm does.
+    recon = pair.u @ pair.trace
+    np.subtract(pair.y, recon, out=recon)
+    np.square(recon, out=recon)
+    rel = float((np.sqrt(np.add.reduce(recon, axis=0)) / y_norms).max())
     r = pair.residual_norms
     print(
         f"couple: n={ns.n} seed={ns.seed} | orthogonality max|U^T U - I|={orth:.3e}, "

@@ -23,6 +23,14 @@ Householder path names a degenerate column: near a dependent column
 Cholesky's r_j is accurate only to about sqrt(eps), the threshold's
 own scale.
 
+The Householder path calls LAPACK's ``dgeqrf`` and ``dorgqr`` (Anderson
+et al., LAPACK Users' Guide, 3rd ed., 1999) directly, on one
+Fortran-ordered copy of Y that becomes U, so it holds Y, U and R and no
+more; they are the routines ``np.linalg.qr`` calls, with its workspace,
+so Q and R are its bits.  Where numpy's linalg extension does not
+export them, ``np.linalg.qr`` computes them instead.  Both paths return
+U Fortran-ordered, like a sampled Y, whichever routine ran.
+
 The pair keeps its coupling trace: for each column j (1-based) the
 projection coefficients onto the preceding orthonormal columns and the
 residual norm r_j > 0, so that
@@ -37,6 +45,8 @@ coordinates of every row while preserving the truncated row norms.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,11 +110,12 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     (max|U^T U - I| > 1e-12), when the Cholesky factorization fails, or
     when some r_j reaches the degeneracy threshold.  Every other block
     is Householder QR (LAPACK) with the signs of the columns of Q and
-    the rows of R flipped so that diag(R) > 0.  Either way nu_j points
-    along the residual of y_j, hence <y_j, nu_j> = r_j > 0, as in the
-    classical procedure.  The CholeskyQR path returns ``u``
-    Fortran-ordered, like a sampled ``y``; the Householder path returns
-    it C-ordered.
+    the rows of R flipped so that diag(R) > 0, called in place through
+    LAPACK where numpy's linalg extension exports it and through
+    ``np.linalg.qr`` where it does not.  Either way nu_j points along
+    the residual of y_j, hence <y_j, nu_j> = r_j > 0, as in the
+    classical procedure.  Both paths return ``u`` Fortran-ordered, like
+    a sampled ``y``.
 
     Parameters
     ----------
@@ -127,20 +138,25 @@ def gram_schmidt_couple(y: np.ndarray) -> CoupledPair:
     n, k = y.shape
     threshold = DEGENERACY_FACTOR * math.sqrt(n)
 
-    factors = _cholesky_qr(y, threshold) if _takes_cholesky_qr(n, k) else None
+    factors = _cholesky_qr(y, threshold) if 4 * k <= n else None
     u, trace = factors if factors is not None else _householder_qr(y, threshold)
     residual_norms = np.diag(trace).copy()
     return CoupledPair(y=y, u=u, residual_norms=residual_norms, trace=trace, n=n)
 
 
-def _takes_cholesky_qr(n: int, k: int) -> bool:
-    """Whether an n x k block is first tried on the one-pass CholeskyQR path."""
-    return 4 * k <= n
-
-
 def _householder_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q and R of ``y`` with diag R > 0, or DegeneracyError naming a column."""
-    u, trace = np.linalg.qr(y)
+    """Q and R of ``y`` with diag R > 0, or DegeneracyError naming a column.
+
+    Q comes back Fortran-ordered.  Where LAPACK resolves
+    (:func:`_lapack_qr`), ``dgeqrf`` factors one Fortran-ordered copy of
+    ``y``, R is copied out of its upper triangle, and ``dorgqr`` forms Q
+    over the reflectors in the same array: the routines, workspace
+    queries and inputs of ``np.linalg.qr``, so Q and R are its bits,
+    without its four working blocks.  Elsewhere it is ``np.linalg.qr``.
+    """
+    routines = _lapack_qr()
+    u, trace = _lapack_householder(y, *routines) if routines else np.linalg.qr(y)
+    u = np.asfortranarray(u)
     residual_norms = np.abs(np.diag(trace))
     failed = np.flatnonzero(~(residual_norms > threshold))
     if failed.size:
@@ -150,6 +166,57 @@ def _householder_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nda
     u *= signs
     trace *= signs[:, None]
     return u, trace
+
+
+@functools.cache
+def _lapack_qr():
+    """numpy's own ILP64 ``dgeqrf`` and ``dorgqr``, or None where they do not resolve.
+
+    numpy's wheels link scipy-openblas into the linalg extension and
+    export its LAPACK under ``scipy_*_64_`` names, taking 64-bit
+    integers.  Other builds (a system BLAS, 32-bit integers) name them
+    otherwise, and :func:`_householder_qr` then calls ``np.linalg.qr``.
+    Resolved on first use, so importing hgc loads nothing.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = lib.scipy_dgeqrf_64_, lib.scipy_dorgqr_64_
+    except (AttributeError, OSError):
+        return None
+    for routine in routines:
+        routine.restype = None
+    return routines
+
+
+def _lapack_householder(y: np.ndarray, geqrf, orgqr) -> tuple[np.ndarray, np.ndarray]:
+    """Q (Fortran-ordered, in one copy of ``y``) and R of ``y`` by ``geqrf`` and ``orgqr``.
+
+    Each routine first gets its optimal workspace from a query
+    (LWORK = -1), which fixes its blocking, and then at least max(1, k)
+    doubles of it, as numpy gives.
+    """
+    n, k = y.shape
+    a = np.array(y, order="F")
+    tau = np.empty(k)
+    rows, cols, info = ctypes.c_int64(n), ctypes.c_int64(k), ctypes.c_int64(0)
+
+    def call(routine, *dims):
+        # (M, N[, K], A, LDA, TAU, WORK, LWORK, INFO); n >= 1, so LDA is n.
+        head = (*map(ctypes.byref, dims), a.ctypes.data_as(ctypes.c_void_p),
+                ctypes.byref(rows), tau.ctypes.data_as(ctypes.c_void_p))
+        query, lwork = ctypes.c_double(), ctypes.c_int64(-1)
+        routine(*head, ctypes.byref(query), ctypes.byref(lwork), ctypes.byref(info))
+        work = np.empty(max(1, k, int(query.value)))
+        lwork.value = work.size
+        routine(*head, work.ctypes.data_as(ctypes.c_void_p), ctypes.byref(lwork),
+                ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError(f"{routine.__name__} returned info={info.value}")
+
+    call(geqrf, rows, cols)
+    trace = np.triu(a[:k])
+    call(orgqr, rows, cols, cols)
+    return a, trace
 
 
 def _cholesky_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray] | None:

@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from . import theory
-from .coupling import CoupledPair, _takes_cholesky_qr, gram_schmidt_couple, randomized_couple
+from .coupling import CoupledPair, gram_schmidt_couple, randomized_couple
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -322,28 +322,28 @@ def pool_budget(workers: int, trials: int) -> PoolBudget:
     return PoolBudget(min(workers, trials, max(1, cores // threads)), threads, cores)
 
 
-def _check_footprint(n: int, m: int, processes: int) -> None:
+def _check_footprint(n: int, m: int, processes: int, extra: int = 0) -> None:
     """Refuse work whose n x m blocks on ``processes`` processes cannot fit in memory.
 
-    Each process holds at least the blocks of doubles that coupling its
-    n x m block needs at the same time: two (Y and U) on the CholeskyQR
-    path, five (Y and numpy's working copies) inside the Householder QR.
-    So that many n m 8 bytes per process is a lower bound on the
-    footprint: work this refuses could not have fit in physical memory.
-    Where ``os.sysconf`` cannot tell the physical memory, nothing is
-    checked.
+    Each process holds at least what coupling its n x m block holds at
+    one time on either path: Y, U and the m x m R, 2 n m + m^2 doubles,
+    and ``extra`` more n x m blocks beside them (2 for the rotated
+    Y V_m and U V_m of a trial that rotates).  So that many doubles per
+    process is a lower bound on the footprint: work this refuses could
+    not have fit in physical memory.  Where ``os.sysconf`` cannot tell
+    the physical memory, nothing is checked.
     """
-    blocks = 2 if _takes_cholesky_qr(n, m) else 5
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
-    need = processes * blocks * n * m * 8
+    blocks = 2 + extra
+    need = processes * 8 * (blocks * n * m + m * m)
     if 0 < physical < need:
         raise ConfigError(
             f"n={n}, m={m} on {processes} process(es) needs at least {need:,} "
-            f"bytes ({blocks} n m 8 per process), more than the {physical:,} bytes of "
-            f"physical memory"
+            f"bytes ({blocks} n m + m^2 doubles per process), more than the {physical:,} "
+            f"bytes of physical memory"
         )
 
 
@@ -355,7 +355,8 @@ def _drawn_columns(config: ExperimentConfig) -> int:
 def _check_fits(config: ExperimentConfig) -> int:
     """The processes a run of ``config`` forks; refuses one that cannot fit in memory."""
     processes = pool_budget(config.workers, config.trials).processes
-    _check_footprint(config.n, _drawn_columns(config), processes)
+    rotates = config.coupling in KINDS[config.kind].rotates
+    _check_footprint(config.n, _drawn_columns(config), processes, extra=2 if rotates else 0)
     return processes
 
 
@@ -484,20 +485,23 @@ class Kind:
     trial t's draw ``y`` into the trial's CSV rows; ``trials`` is the
     default trial count.  A kind with ``columns`` set draws that many
     columns of Y whatever m is, and needs no truncation size (m
-    defaults to 1).  A kind without ``measure`` runs no trials.
+    defaults to 1).  ``rotates`` names the couplings under which a
+    trial also rotates its pair by V_m.  A kind without ``measure``
+    runs no trials.
     """
 
     command: str | None
     measure: Callable | None
     trials: int = 5
     columns: int | None = None
+    rotates: tuple[str, ...] = ()
 
 
 KINDS = {
     "row-norms": Kind("rownorms", _measure_row_norms),
     "gh-split": Kind("gh", _measure_gh_split),
-    "epsilon": Kind("epsilon", _measure_epsilon),
-    "coupling-compare": Kind("compare", _measure_compare),
+    "epsilon": Kind("epsilon", _measure_epsilon, rotates=(RANDOMIZED,)),
+    "coupling-compare": Kind("compare", _measure_compare, rotates=COUPLINGS),
     "borel": Kind("borel", _measure_borel, trials=200, columns=1),
     "bounds-check": Kind(None, None, columns=1),
 }

@@ -506,14 +506,14 @@ def test_oversized_run_is_refused_before_it_draws(monkeypatch, capfd):
     assert code == 1
     assert out == ""
     assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
-                          "40,000,000,000,000 bytes (5 n m 8 per process)")
+                          "24,000,000,000,000 bytes (2 n m + m^2 doubles per process)")
     assert "bytes of physical memory" in err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
 
 
 def test_oversized_tall_run_is_refused_by_its_two_blocks(monkeypatch, capfd):
-    # 4 m <= n: the CholeskyQR path holds the block's Y and U.
+    # 4 m <= n: the CholeskyQR path holds the block's Y and U and the m x m R.
     def no_draw(*args):
         raise AssertionError("an oversized run drew its sample")
 
@@ -521,7 +521,7 @@ def test_oversized_tall_run_is_refused_by_its_two_blocks(monkeypatch, capfd):
     code, out, err = invoke(["rownorms", "--n", "10000000", "--m", "100000"])
     assert (code, out) == (1, "")
     assert err.startswith("error: n=10000000, m=100000 on 1 process(es) needs at least "
-                          "16,000,000,000,000 bytes (2 n m 8 per process)")
+                          "16,080,000,000,000 bytes (2 n m + m^2 doubles per process)")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
 
@@ -535,7 +535,7 @@ def test_oversized_couple_is_refused_before_it_draws(monkeypatch, capfd):
     assert code == 1
     assert out == ""
     assert err.startswith("error: n=1000000, m=1000000 on 1 process(es) needs at least "
-                          "40,000,000,000,000 bytes (5 n m 8 per process)")
+                          "32,000,000,000,000 bytes (3 n m + m^2 doubles per process)")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err + capfd.readouterr().err
 
@@ -545,13 +545,23 @@ def test_couple_that_fits_three_blocks_but_not_five_is_refused(monkeypatch):
         raise AssertionError("a refused couple drew its sample")
 
     # 4 MiB of physical memory; an n = 400 square is 1.28 MB, so three
-    # of them fit and the five that the QR holds do not.
+    # of them fit, and neither the four that couple holds (Y, U, R and a
+    # diagnostic) nor five do.
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}.get)
     monkeypatch.setattr(cli, "sample_gaussian", no_draw)
     code, out, err = invoke(["couple", "--n", "400"])
     assert (code, out) == (1, "")
-    assert err == ("error: n=400, m=400 on 1 process(es) needs at least 6,400,000 bytes "
-                   "(5 n m 8 per process), more than the 4,194,304 bytes of physical memory\n")
+    assert err == ("error: n=400, m=400 on 1 process(es) needs at least 5,120,000 bytes "
+                   "(3 n m + m^2 doubles per process), more than the 4,194,304 bytes of "
+                   "physical memory\n")
+
+
+def test_couple_that_fits_four_blocks_runs(monkeypatch):
+    # 5 MiB of physical memory holds the four n = 400 squares of couple.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1280, "SC_PAGE_SIZE": 4096}.get)
+    code, out, err = invoke(["couple", "--n", "400"])
+    assert (code, err) == (0, "")
+    assert out.startswith("couple: n=400 seed=0 | ")
 
 
 def test_workers_env_default(monkeypatch):

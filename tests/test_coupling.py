@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,66 @@ def test_square_and_wide_blocks_are_householder_bitwise(n, k):
     assert np.array_equal(pair.trace, trace)
 
 
+needs_lapack = pytest.mark.skipif(coupling._lapack_qr() is None,
+                                  reason="numpy's linalg extension exports no ILP64 LAPACK")
+
+
+@needs_lapack
+@pytest.mark.parametrize(
+    "n, k",
+    [(1, 1), (5, 1), (8, 8), (64, 64), (268, 268), (1000, 999), (2048, 1024), (2048, 2048),
+     (4096, 1500)],
+)
+def test_direct_lapack_qr_is_numpy_qr_bitwise(n, k):
+    # Before the sign fix: the same routines on the same input with the
+    # same workspace, so the same blocking and the same bits.
+    y = sample_gaussian(n, k, Seed(26, (n, k)))
+    q, r = coupling._lapack_householder(y, *coupling._lapack_qr())
+    want_q, want_r = np.linalg.qr(y)
+    assert q.flags.f_contiguous
+    assert np.array_equal(q, want_q)
+    assert np.array_equal(r, want_r)
+
+
+def test_direct_lapack_qr_is_live_on_scipy_openblas():
+    # numpy's wheels bundle scipy-openblas, which exports the ILP64
+    # routines; a build that does not would silently take np.linalg.qr.
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        pytest.skip("numpy does not report its LAPACK build")
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}")
+    assert coupling._lapack_qr() is not None
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (64, 64), (300, 76)])
+def test_householder_fallback_matches_direct_path(monkeypatch, n, k):
+    y = sample_gaussian(n, k, Seed(27, (n, k)))
+    direct = gram_schmidt_couple(y)
+    monkeypatch.setattr(coupling, "_lapack_qr", lambda: None)
+    fallback = gram_schmidt_couple(y)
+    assert fallback.u.flags.f_contiguous and direct.u.flags.f_contiguous
+    assert np.array_equal(fallback.u, direct.u)
+    assert np.array_equal(fallback.trace, direct.trace)
+
+
+@needs_lapack
+def test_square_coupling_holds_only_u_and_r_beside_y():
+    # U is the factored copy of Y and R its k x k triangle.  Through
+    # np.linalg.qr the traced peak is about 3.1 blocks: its copy of Y
+    # and its outputs (its LAPACK buffers are allocated untraced).
+    n = 1024
+    y = sample_gaussian(n, n, Seed(28, (0,)))
+    tracemalloc.start()
+    try:
+        gram_schmidt_couple(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * n * n * 8
+
+
 def test_repeated_column_in_tall_block_named():
     y = sample_gaussian(400, 50, Seed(23, (0,)))
     y[:, 29] = y[:, 11]
@@ -239,5 +300,5 @@ def test_column_scaling_keeps_tall_block_on_cholesky_path():
     y = sample_gaussian(400, 50, Seed(25, (0,)))
     scaled = gram_schmidt_couple(y * np.logspace(0, 9, 50))
     assert np.abs(scaled.u - gram_schmidt_couple(y).u).max() <= 1e-13
-    # the Cholesky path returns u Fortran-ordered, Householder C-ordered
+    # both paths return u Fortran-ordered
     assert scaled.u.flags.f_contiguous

@@ -262,6 +262,16 @@ def test_derived_blas_threads_match_the_loaded_openblas(setting):
     assert live == derived
 
 
+@pytest.mark.parametrize("kind", ["gh-split", "row-norms"])
+def test_householder_fallback_writes_the_same_csv(monkeypatch, kind):
+    # Square blocks take the Householder path: in place through LAPACK,
+    # or through np.linalg.qr where numpy exports no LAPACK to call.
+    config = ExperimentConfig(kind=kind, n=150, alpha=1.0, trials=2, seed=5)
+    direct = render_csv(run(config))
+    monkeypatch.setattr(coupling, "_lapack_qr", lambda: None)
+    assert render_csv(run(config)) == direct
+
+
 def test_a_capped_run_forks_nothing(monkeypatch):
     # Two OpenBLAS threads fill two cores, so workers=2 runs in this process.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -276,23 +286,45 @@ def test_a_capped_run_forks_nothing(monkeypatch):
 
 
 def test_footprint_bound_counts_every_process(monkeypatch):
-    # 12 MiB of physical memory; a 512 x 256 trial takes the Householder
-    # path and holds 5 blocks of 1 MiB.
-    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 3072, "SC_PAGE_SIZE": 4096}.get)
-    harness._check_footprint(512, 256, 2)
-    with pytest.raises(ConfigError, match=r"on 3 process\(es\) needs at least 15,728,640 "
-                                          r"bytes .* the 12,582,912 bytes of physical"):
-        harness._check_footprint(512, 256, 3)
+    # 8 MiB of physical memory; a 512 x 256 trial holds Y and U, 1 MiB
+    # each, and R, 0.5 MiB.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}.get)
+    harness._check_footprint(512, 256, 3)
+    with pytest.raises(ConfigError, match=r"on 4 process\(es\) needs at least 10,485,760 "
+                                          r"bytes .* the 8,388,608 bytes of physical"):
+        harness._check_footprint(512, 256, 4)
 
 
-@pytest.mark.parametrize("m, blocks", [(256, 2), (257, 5)])
-def test_footprint_counts_the_blocks_of_the_coupling_path(monkeypatch, m, blocks):
+@pytest.mark.parametrize("m", [256, 257])
+def test_footprint_counts_y_u_and_r_on_either_path(monkeypatch, m):
     # 1 MiB of physical memory: n = 1024 takes CholeskyQR up to m = 256
-    # (Y and U) and the Householder QR past it (Y and 4 working blocks).
+    # and the Householder QR past it, and both hold Y, U and R.
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
-    with pytest.raises(ConfigError, match=rf"needs at least {blocks * 1024 * m * 8:,} "
-                                          rf"bytes \({blocks} n m 8 per process\)"):
+    with pytest.raises(ConfigError, match=rf"needs at least {8 * (2 * 1024 * m + m * m):,} "
+                                          rf"bytes \(2 n m \+ m\^2 doubles per process\)"):
         harness._check_footprint(1024, m, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, coupling, blocks",
+    [
+        ("epsilon", "plain-gs", 2),
+        ("epsilon", "randomized", 4),
+        ("coupling-compare", "plain-gs", 4),
+        ("coupling-compare", "randomized", 4),
+        ("row-norms", "randomized", 2),
+        ("gh-split", "randomized", 2),
+    ],
+)
+def test_footprint_counts_the_rotated_blocks_of_a_rotating_trial(monkeypatch, kind, coupling,
+                                                                  blocks):
+    # A trial that rotates also holds Y V_m and U V_m: compare always,
+    # epsilon under the randomized coupling.
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+    config = ExperimentConfig(kind=kind, n=1024, m=64, coupling=coupling)
+    with pytest.raises(ConfigError, match=rf"needs at least {8 * (blocks * 1024 * 64 + 64**2):,} "
+                                          rf"bytes \({blocks} n m \+ m\^2 doubles"):
+        run(config)
 
 
 def test_footprint_is_not_checked_without_sysconf_names(monkeypatch):
@@ -415,8 +447,8 @@ def test_borel_entry_is_the_coupled_u_11(n):
 
 
 def test_borel_footprint_counts_one_column(monkeypatch):
-    # 4 MiB of physical memory: five 1000 x 1000 blocks do not fit, one
-    # column does.
+    # 4 MiB of physical memory: the three 1000 x 1000 blocks of Y, U and R
+    # do not fit, one column does.
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}.get)
     report = run(ExperimentConfig(kind="borel", n=1000, alpha=1.0, trials=2, seed=1))
     assert len(report.results) == 2

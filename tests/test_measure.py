@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,9 +177,19 @@ def test_panels_of_a_tall_fortran_pair_match_the_full_block(n, m, last):
     assert_panels_match_full_block(pair, m)
 
 
+def c_ordered(pair):
+    # Both coupling paths return u Fortran-ordered; a C-ordered copy of u
+    # beside the sampled Fortran-ordered y keeps the other layout, whose
+    # rows numpy sums in another order, covered.
+    return replace(pair, u=np.ascontiguousarray(pair.u))
+
+
 @pytest.mark.parametrize("n, m", [(300, 300), (300, 120), (300, 1), (1, 1)])
 def test_panels_of_a_householder_pair_match_the_full_block(n, m):
     pair = gram_schmidt_couple(sample_gaussian(n, n, Seed(4, (n,))))
+    assert pair.u.flags.f_contiguous
+    assert_panels_match_full_block(pair, m)
+    pair = c_ordered(pair)
     assert pair.u.flags.c_contiguous
     assert_panels_match_full_block(pair, m)
 
@@ -192,6 +203,7 @@ def test_small_panels_match_the_full_block(monkeypatch, rows, n, k):
     pair = gram_schmidt_couple(sample_gaussian(n, k, Seed(6, (n,))))
     assert {p.stop - p.start for p in measure._panels(n, m)} <= set(range(2, rows + 2))
     assert_panels_match_full_block(pair, m)
+    assert_panels_match_full_block(c_ordered(pair), m)
 
 
 def test_panels_cover_every_row_once():
