@@ -7,10 +7,11 @@ memory, 130 interrupted (SIGINT).  ``HGC_WORKERS`` provides the default
 for ``--workers``.
 
 ``--workers k`` asks for at most k trial processes; a run forks only as
-many as the cores hold beside OpenBLAS's threads
-(:func:`hgc.harness.pool_budget`).  When that is fewer than
-``min(k, trials)``, one ``hgc:`` line on stderr says so and how to get
-parallel processes; stdout and the output files are the same either way.
+many as the cores hold beside the threads numpy's OpenBLAS reports
+running (:func:`hgc.harness.pool_budget`), and none where it reports
+none.  When that is fewer than ``min(k, trials)``, one ``hgc:`` line on
+stderr says so and how to get parallel processes; stdout and the
+output files are the same either way.
 A run whose blocks cannot fit in physical memory exits 1 before it
 draws, and so does ``couple`` for a square that cannot.
 """
@@ -187,11 +188,15 @@ def _note_budget(config: ExperimentConfig) -> None:
     if KINDS[config.kind].measure is None or budget.processes == asked:
         return
     note = (f"hgc: --workers {config.workers} runs as {budget.processes} "
-            f"process{'es' if budget.processes > 1 else ''}: OpenBLAS uses "
-            f"{budget.blas_threads} thread{'s' if budget.blas_threads > 1 else ''} "
-            f"on {budget.cores} cores")
-    if budget.blas_threads > 1:
-        note += "; set OPENBLAS_NUM_THREADS=1 to run trials in parallel"
+            f"process{'es' if budget.processes > 1 else ''}: ")
+    threads = budget.blas_threads
+    if threads is None:
+        note += "numpy's BLAS reports no thread count, so every core counts as taken"
+    else:
+        note += (f"OpenBLAS uses {threads} thread{'s' if threads > 1 else ''} "
+                 f"on {budget.cores} core{'s' if budget.cores > 1 else ''}")
+        if threads > 1:
+            note += "; set OPENBLAS_NUM_THREADS=1 to run trials in parallel"
     print(note, file=sys.stderr)
 
 

@@ -29,7 +29,9 @@ Fortran-ordered copy of Y that becomes U, so it holds Y, U and R and no
 more; they are the routines ``np.linalg.qr`` calls, with its workspace,
 so Q and R are its bits.  Where numpy's linalg extension does not
 export them, ``np.linalg.qr`` computes them instead.  Both paths return
-U Fortran-ordered, like a sampled Y, whichever routine ran.
+U Fortran-ordered, like a sampled Y, whichever routine ran.  This module
+is hgc's one handle on numpy's OpenBLAS (:func:`_openblas`): the same
+handle reports the threads the library runs (:func:`blas_threads`).
 
 The pair keeps its coupling trace: for each column j (1-based) the
 projection coefficients onto the preceding orthonormal columns and the
@@ -148,14 +150,14 @@ def _householder_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nda
     """Q and R of ``y`` with diag R > 0, or DegeneracyError naming a column.
 
     Q comes back Fortran-ordered.  Where LAPACK resolves
-    (:func:`_lapack_qr`), ``dgeqrf`` factors one Fortran-ordered copy of
+    (:func:`_openblas`), ``dgeqrf`` factors one Fortran-ordered copy of
     ``y``, R is copied out of its upper triangle, and ``dorgqr`` forms Q
     over the reflectors in the same array: the routines, workspace
     queries and inputs of ``np.linalg.qr``, so Q and R are its bits,
     without its four working blocks.  Elsewhere it is ``np.linalg.qr``.
     """
-    routines = _lapack_qr()
-    u, trace = _lapack_householder(y, *routines) if routines else np.linalg.qr(y)
+    lib = _openblas()
+    u, trace = _lapack_householder(y, lib) if lib is not None else np.linalg.qr(y)
     u = np.asfortranarray(u)
     residual_norms = np.abs(np.diag(trace))
     failed = np.flatnonzero(~(residual_norms > threshold))
@@ -169,27 +171,41 @@ def _householder_qr(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nda
 
 
 @functools.cache
-def _lapack_qr():
-    """numpy's own ILP64 ``dgeqrf`` and ``dorgqr``, or None where they do not resolve.
+def _openblas():
+    """numpy's own OpenBLAS, or None where the symbols hgc calls do not resolve.
 
     numpy's wheels link scipy-openblas into the linalg extension and
-    export its LAPACK under ``scipy_*_64_`` names, taking 64-bit
-    integers.  Other builds (a system BLAS, 32-bit integers) name them
-    otherwise, and :func:`_householder_qr` then calls ``np.linalg.qr``.
-    Resolved on first use, so importing hgc loads nothing.
+    export it under ``scipy_*64_`` names, taking 64-bit integers:
+    LAPACK's ``scipy_dgeqrf_64_`` and ``scipy_dorgqr_64_``, which
+    :func:`_householder_qr` calls, and
+    ``scipy_openblas_get_num_threads64_``, which :func:`blas_threads`
+    calls.  Other builds (numpy before 2.0, a system BLAS, MKL) name
+    them otherwise; :func:`_householder_qr` then calls ``np.linalg.qr``
+    and :func:`blas_threads` reports no count.  Opened on first use, so
+    importing hgc loads nothing.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        routines = lib.scipy_dgeqrf_64_, lib.scipy_dorgqr_64_
+        lib.scipy_dgeqrf_64_.restype = lib.scipy_dorgqr_64_.restype = None
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
     except (AttributeError, OSError):
         return None
-    for routine in routines:
-        routine.restype = None
-    return routines
+    return lib
 
 
-def _lapack_householder(y: np.ndarray, geqrf, orgqr) -> tuple[np.ndarray, np.ndarray]:
-    """Q (Fortran-ordered, in one copy of ``y``) and R of ``y`` by ``geqrf`` and ``orgqr``.
+def blas_threads() -> int | None:
+    """The threads numpy's OpenBLAS runs now, or None where :func:`_openblas` does not resolve.
+
+    The library's own count, so it follows whatever set it: the
+    environment OpenBLAS read when it loaded, its cap at the cores, or a
+    later call into the library.
+    """
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def _lapack_householder(y: np.ndarray, lib) -> tuple[np.ndarray, np.ndarray]:
+    """Q (Fortran-ordered, in one copy of ``y``) and R of ``y`` by ``lib``'s LAPACK.
 
     Each routine first gets its optimal workspace from a query
     (LWORK = -1), which fixes its blocking, and then at least max(1, k)
@@ -213,9 +229,9 @@ def _lapack_householder(y: np.ndarray, geqrf, orgqr) -> tuple[np.ndarray, np.nda
         if info.value:
             raise np.linalg.LinAlgError(f"{routine.__name__} returned info={info.value}")
 
-    call(geqrf, rows, cols)
+    call(lib.scipy_dgeqrf_64_, rows, cols)
     trace = np.triu(a[:k])
-    call(orgqr, rows, cols, cols)
+    call(lib.scipy_dorgqr_64_, rows, cols, cols)
     return a, trace
 
 

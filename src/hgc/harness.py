@@ -7,9 +7,9 @@ count, and a root seed.  :func:`run` executes the trials on derived
 substreams -- trial t samples from ``(seed, [t])`` and the block
 rotation that a randomized eps reads from ``(seed, [t, 1])`` -- through
 one ordered map, in this process or in a pool of at most ``workers``
-processes that the cores can hold beside OpenBLAS's threads (see
-:func:`pool_budget`), so serial and parallel runs produce identical
-results, and
+processes that the cores can hold beside the threads numpy's OpenBLAS
+reports (see :func:`pool_budget`), so serial and parallel runs produce
+identical results, and
 :func:`emit` writes a report as CSV, JSON, or SVG with byte-identical
 output for identical configs.  Every trial draws its Gaussian Y
 through the module global ``sample_gaussian``.
@@ -54,7 +54,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -67,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import theory
-from .coupling import CoupledPair, gram_schmidt_couple, randomized_couple
+from .coupling import CoupledPair, blas_threads, gram_schmidt_couple, randomized_couple
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -275,17 +274,15 @@ def emit(report, format: str, path: str) -> None:
 # trial execution
 
 
-# The variables OpenBLAS reads its thread count from when it loads, in
-# the order it reads them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @dataclass(frozen=True)
 class PoolBudget:
-    """How many trial processes fit beside OpenBLAS's threads on the usable cores."""
+    """How many trial processes fit beside OpenBLAS's threads on the usable cores.
+
+    ``blas_threads`` is None where numpy's BLAS does not report its count.
+    """
 
     processes: int
-    blas_threads: int
+    blas_threads: int | None
     cores: int
 
 
@@ -300,26 +297,20 @@ def _usable_cores() -> int:
 def pool_budget(workers: int, trials: int) -> PoolBudget:
     """The trial processes a run of ``trials`` trials on ``workers`` workers forks.
 
-    ``min(workers, trials, max(1, cores // blas_threads))``, where
-    ``cores`` is this process's usable cores (:func:`_usable_cores`).
-    ``blas_threads`` is the count OpenBLAS gives itself when it loads:
-    the first positive value in ``os.environ`` among
-    ``_BLAS_THREAD_VARS``, read as C's ``atoi`` reads it ("2x" is 2;
-    "abc", "0" and "-1" are skipped), capped at ``cores``; with none
-    set, ``cores``.
+    ``min(workers, trials, max(1, cores // threads))``, where ``cores``
+    is this process's usable cores (:func:`_usable_cores`) and
+    ``threads`` the count numpy's loaded OpenBLAS runs now
+    (:func:`hgc.coupling.blas_threads`).  Where the library reports no
+    count (numpy before 2.0, another BLAS), its threads are counted as
+    one per core, so the run is serial.
 
     Every forked process keeps that thread count, so a run uses BLAS
     threads or processes, never more of the two than there are cores.
     The thread count is not changed, and neither are the bits it decides.
     """
     cores = _usable_cores()
-    threads = cores
-    for name in _BLAS_THREAD_VARS:
-        value = re.match(r"\s*[+-]?[0-9]+", os.environ.get(name, ""))
-        if value and int(value.group()) > 0:
-            threads = min(int(value.group()), cores)
-            break
-    return PoolBudget(min(workers, trials, max(1, cores // threads)), threads, cores)
+    threads = blas_threads()
+    return PoolBudget(min(workers, trials, max(1, cores // (threads or cores))), threads, cores)
 
 
 def _check_footprint(n: int, m: int, processes: int, extra: int = 0) -> None:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hgc.cli as cli
+import hgc.coupling as coupling
 import hgc.harness as harness
 from hgc import NumericalError, Seed, sample_gaussian
 from hgc.cli import build_parser, main
@@ -459,8 +460,9 @@ def test_crashed_worker_exits_2_naming_the_trial(monkeypatch, capfd, two_pool_pr
     assert "Traceback" not in err + capfd.readouterr().err
 
 
-def test_capped_workers_write_the_serial_csv_and_one_note(monkeypatch, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+def _capped_note(monkeypatch, tmp_path):
+    """The stderr of borel on --workers 2 and two cores, which must fork
+    nothing and write the --workers 1 CSV."""
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
 
     def no_pool(*args, **kwargs):
@@ -472,16 +474,30 @@ def test_capped_workers_write_the_serial_csv_and_one_note(monkeypatch, tmp_path)
     capped = invoke([*argv, str(tmp_path / "w2.csv"), "--workers", "2"])
     assert serial[:2] == capped[:2] == (0, serial[1])
     assert serial[2] == ""
-    assert capped[2] == (
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+    return capped[2]
+
+
+def test_capped_workers_write_the_serial_csv_and_one_note(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "blas_threads", lambda: 2)
+    assert _capped_note(monkeypatch, tmp_path) == (
         "hgc: --workers 2 runs as 1 process: OpenBLAS uses 2 threads on 2 cores; "
         "set OPENBLAS_NUM_THREADS=1 to run trials in parallel\n"
     )
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_a_blas_without_a_thread_count_runs_serially(monkeypatch, tmp_path):
+    # numpy before 2.0, a system BLAS or MKL: the handle does not resolve.
+    monkeypatch.setattr(coupling, "_openblas", lambda: None)
+    assert _capped_note(monkeypatch, tmp_path) == (
+        "hgc: --workers 2 runs as 1 process: numpy's BLAS reports no thread count, "
+        "so every core counts as taken\n"
+    )
 
 
 def test_bounds_check_config_notes_no_pool(monkeypatch, tmp_path):
     # The battery never forks, so a capped --workers has nothing to say.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(harness, "blas_threads", lambda: 2)
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     cfg = tmp_path / "b.json"
     cfg.write_text('{"kind": "bounds-check", "n": 1, "workers": 2, "trials": 4}')
@@ -491,10 +507,14 @@ def test_bounds_check_config_notes_no_pool(monkeypatch, tmp_path):
     assert err == ""
 
 
-def test_workers_beyond_the_cores_note_the_core_cap(two_pool_processes):
+def test_workers_beyond_the_cores_note_the_core_cap(monkeypatch, two_pool_processes):
     code, _, err = invoke(["borel", "--n", "16", "--trials", "12", "--workers", "4"])
     assert code == 0
     assert err == "hgc: --workers 4 runs as 2 processes: OpenBLAS uses 1 thread on 2 cores\n"
+    # One core is counted in the singular.
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+    assert invoke(["borel", "--n", "16", "--trials", "12", "--workers", "2"])[2] == (
+        "hgc: --workers 2 runs as 1 process: OpenBLAS uses 1 thread on 1 core\n")
 
 
 def test_oversized_run_is_refused_before_it_draws(monkeypatch, capfd):

@@ -207,7 +207,7 @@ def test_square_and_wide_blocks_are_householder_bitwise(n, k):
     assert np.array_equal(pair.trace, trace)
 
 
-needs_lapack = pytest.mark.skipif(coupling._lapack_qr() is None,
+needs_lapack = pytest.mark.skipif(coupling._openblas() is None,
                                   reason="numpy's linalg extension exports no ILP64 LAPACK")
 
 
@@ -221,7 +221,7 @@ def test_direct_lapack_qr_is_numpy_qr_bitwise(n, k):
     # Before the sign fix: the same routines on the same input with the
     # same workspace, so the same blocking and the same bits.
     y = sample_gaussian(n, k, Seed(26, (n, k)))
-    q, r = coupling._lapack_householder(y, *coupling._lapack_qr())
+    q, r = coupling._lapack_householder(y, coupling._openblas())
     want_q, want_r = np.linalg.qr(y)
     assert q.flags.f_contiguous
     assert np.array_equal(q, want_q)
@@ -237,14 +237,15 @@ def test_direct_lapack_qr_is_live_on_scipy_openblas():
         pytest.skip("numpy does not report its LAPACK build")
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}")
-    assert coupling._lapack_qr() is not None
+    assert coupling._openblas() is not None
+    assert coupling.blas_threads() >= 1
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (64, 64), (300, 76)])
 def test_householder_fallback_matches_direct_path(monkeypatch, n, k):
     y = sample_gaussian(n, k, Seed(27, (n, k)))
     direct = gram_schmidt_couple(y)
-    monkeypatch.setattr(coupling, "_lapack_qr", lambda: None)
+    monkeypatch.setattr(coupling, "_openblas", lambda: None)
     fallback = gram_schmidt_couple(y)
     assert fallback.u.flags.f_contiguous and direct.u.flags.f_contiguous
     assert np.array_equal(fallback.u, direct.u)
