@@ -199,24 +199,34 @@ def test_pool_workers_take_the_default_action_on_sigint():
         assert list(trial_map(signal.getsignal, [signal.SIGINT] * 2)) == [signal.SIG_DFL] * 2
 
 
+# Each case is an environment OpenBLAS loaded under on ``cores`` cores and
+# the thread count it runs there.  The budget reads that count from the
+# library (patched here); the variables, set again now, change nothing.
 @pytest.mark.parametrize(
-    "threads, cores, workers, trials, processes",
+    "environ, cores, workers, trials, threads, processes",
     [
-        (2, 2, 2, 200, 1),
-        (1, 2, 2, 200, 2),
-        (8, 2, 2, 200, 1),
-        (2, 4, 8, 200, 2),
-        (4, 8, 8, 200, 2),
+        ({}, 2, 2, 200, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, 2, 200, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 2, 200, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1abc"}, 2, 2, 200, 1, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2, 200, 1, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 200, 2, 2),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 8, 200, 4, 2),
         # The workers, trials and cores caps.
-        (1, 8, 3, 200, 3),
-        (1, 8, 8, 5, 5),
-        (1, 2, 8, 200, 2),
-        (1, 1, 4, 200, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 200, 1, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 8, 5, 1, 5),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 200, 1, 2),
+        ({}, 1, 4, 200, 1, 1),
         # A BLAS that reports no thread count is counted as taking every core.
-        (None, 8, 8, 200, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 8, 200, None, 1),
     ],
 )
-def test_pool_budget(monkeypatch, threads, cores, workers, trials, processes):
+def test_pool_budget(monkeypatch, environ, cores, workers, trials, threads, processes):
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
     monkeypatch.setattr(harness, "blas_threads", lambda: threads)
     monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
     assert harness.pool_budget(workers, trials) == harness.PoolBudget(processes, threads, cores)
