@@ -291,8 +291,8 @@ def _cmd_bounds(ns) -> int:
         t = ns.t if ns.t is not None and ns.t > 1 else None
         two_sided, unit_t = theory.projection_tails(ns.k, ns.n, ns.rho, t)
         print(
-            f"projection k={ns.k} n={ns.n} rho={ns.rho:g}: two-sided bounds "
-            f"{two_sided:.6f} (Gaussian vector), {two_sided:.6f} (unit vector)"
+            f"projection k={ns.k} n={ns.n} rho={ns.rho:g}: two-sided bound "
+            f"{two_sided:.6f} (Gaussian and unit vectors)"
             + (f", t-bound {unit_t:.6g}" if unit_t is not None else "")
         )
         printed = True

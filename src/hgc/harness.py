@@ -31,7 +31,8 @@ gh-split         norms of the projection/residual split F = G + H
 epsilon          the supremum statistic eps_n(m) vs its envelope
 coupling-compare paired eps for the plain and randomized couplings on
                  the same (Y, U); two rows per trial, each naming its
-                 coupling in the ``coupling`` column
+                 coupling in the ``coupling`` column; the config's
+                 coupling is the default
 borel            pools sqrt(n) u_11 across trials; each row carries the
                  trial's value in the ``mean_F`` column and the pooled
                  Kolmogorov-Smirnov distance in ``ks``
@@ -130,6 +131,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {tuple(KINDS)}")
         if self.coupling not in COUPLINGS:
             raise ConfigError(f"unknown coupling {self.coupling!r}")
+        # A kind that rotates under every coupling measures both on each trial.
+        if KINDS[self.kind].rotates == COUPLINGS and self.coupling != PLAIN_GS:
+            raise ConfigError(f"kind {self.kind!r} measures every coupling, so coupling must be "
+                              f"{PLAIN_GS!r}, got {self.coupling!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.n < 1:
@@ -384,16 +389,13 @@ def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:
     results only when the whole chunk succeeds, so the trial that failed
     must be named where it fails.
     """
-    try:
-        return _trial(config, t)
-    except DegeneracyError as exc:
-        raise NumericalError(t, exc) from exc
-
-
-def _trial(config: ExperimentConfig, t: int) -> TrialResult:
     trial_seed = Seed(config.seed, (t,))
     y = sample_gaussian(config.n, _drawn_columns(config), trial_seed)
-    return TrialResult(trial=t, seed=trial_seed, rows=KINDS[config.kind].measure(config, t, y))
+    try:
+        rows = KINDS[config.kind].measure(config, t, y)
+    except DegeneracyError as exc:
+        raise NumericalError(t, exc) from exc
+    return TrialResult(trial=t, seed=trial_seed, rows=rows)
 
 
 def _plain_pair(y: np.ndarray) -> tuple[CoupledPair, dict]:
@@ -477,8 +479,9 @@ class Kind:
     default trial count.  A kind with ``columns`` set draws that many
     columns of Y whatever m is, and needs no truncation size (m
     defaults to 1).  ``rotates`` names the couplings under which a
-    trial also rotates its pair by V_m.  A kind without ``measure``
-    runs no trials.
+    trial also rotates its pair by V_m; a kind that rotates under every
+    coupling measures them all on each trial, so its config takes only
+    the default coupling.  A kind without ``measure`` runs no trials.
     """
 
     command: str | None

@@ -76,14 +76,15 @@ def epsilon_sup(y: np.ndarray, u: np.ndarray, m: int) -> float:
 def ks_statistic(samples) -> float:
     """Kolmogorov-Smirnov distance of a sample to the standard normal CDF.
 
-    The CDF is evaluated through the C library's complementary error
-    function (accurate to well below 1e-12).
+    The CDF is evaluated as Phi(x) = erfc(-x / sqrt(2)) / 2 through the
+    C library's complementary error function (accurate to well below
+    1e-12).
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     size = x.size
     if size == 0:
         raise DomainError("need at least one sample")
-    cdf = np.array([_norm_cdf(v) for v in x])
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
     steps = np.arange(size + 1) / size
     return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
 
@@ -109,10 +110,6 @@ def summarize(values) -> dict:
     }
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 # Bytes of one panel of F: 32768 doubles, 128 rows at m = 256.
 _PANEL_BYTES = 2**18
 
@@ -128,12 +125,6 @@ def _panels(n: int, m: int) -> list[slice]:
     if n - starts[-1] == 1 and len(starts) > 1:
         starts.pop()
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
-
-
-def _residual_block(y: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
-    """F, the first m columns of Y - sqrt(n) U, as one new array in u's layout."""
-    _check_block(y, u, m)
-    return _residual_rows(y, u, m, slice(None))
 
 
 def _residual_rows(y: np.ndarray, u: np.ndarray, m: int, rows: slice) -> np.ndarray:
@@ -155,12 +146,6 @@ def _row_norms_in_place(a: np.ndarray) -> np.ndarray:
     axis=1)``, so the result is bitwise that of the library call.
     """
     return np.sqrt(np.add.reduce(np.multiply(a, a, out=a), axis=1))
-
-
-def _residual_split(pair: CoupledPair, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """F and H of the pair's first m columns, both in u's layout."""
-    _check_block(pair.y, pair.u, m)
-    return _split_rows(pair, m, slice(None))
 
 
 def _split_rows(pair: CoupledPair, m: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:

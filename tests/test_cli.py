@@ -89,7 +89,8 @@ def test_bounds_various_calculators():
     assert "1.414214" in stdout
     code, stdout, _ = invoke(["bounds", "--k", "100", "--n", "200", "--rho", "0.2"])
     assert code == 0
-    assert "0.367879" in stdout
+    # One value bounds the Gaussian and the unit vector's deviations alike.
+    assert stdout.count("0.367879") == 1
     code, stdout, _ = invoke(["bounds", "--n", "4096", "--m", "492"])
     assert code == 0
     assert "1.009984" in stdout
@@ -122,9 +123,16 @@ def test_bounds_check_passes_when_every_bound_dominates():
         (["sweep", "--n", ","], "empty --n list"),
         (["sweep", "--n", "8,x", "--alpha", "1"],
          "bad --n list '8,x': invalid literal for int() with base 10: 'x'"),
+        (["compare", "--n", "64", "--beta", "1", "--coupling", "randomized"],
+         "kind 'coupling-compare' measures every coupling, so coupling must be 'plain-gs', "
+         "got 'randomized'"),
+        (["sweep", "--kind", "coupling-compare", "--n", "64,128", "--beta", "1",
+          "--coupling", "randomized"],
+         "n=64: kind 'coupling-compare' measures every coupling, so coupling must be "
+         "'plain-gs', got 'randomized'"),
     ],
     ids=["bounds-slack-1", "bounds-slack-2", "bounds-tiny-t", "bounds-k-without-rho",
-         "sweep-empty-n", "sweep-bad-n"],
+         "sweep-empty-n", "sweep-bad-n", "compare-randomized", "sweep-compare-randomized"],
 )
 def test_bad_argument_exits_1(argv, message):
     code, stdout, err = invoke(argv)
@@ -515,6 +523,21 @@ def test_workers_beyond_the_cores_note_the_core_cap(monkeypatch, two_pool_proces
     monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
     assert invoke(["borel", "--n", "16", "--trials", "12", "--workers", "2"])[2] == (
         "hgc: --workers 2 runs as 1 process: OpenBLAS uses 1 thread on 1 core\n")
+
+
+def test_json_reports_under_any_workers_differ_only_in_the_flags(tmp_path, two_pool_processes):
+    # The rows and the aggregate do not depend on --workers, but the
+    # config block echoes the run's flags: its "out" and "workers" lines.
+    paths = [tmp_path / "w1.json", tmp_path / "w2.json"]
+    runs = [invoke(["rownorms", "--n", "64", "--alpha", "0.5", "--trials", "2", "--format",
+                    "json", "--workers", workers, "--out", str(path)])
+            for workers, path in zip(("1", "2"), paths)]
+    assert runs[0] == runs[1] == (0, runs[0][1], "")
+    serial, pooled = (path.read_text().splitlines() for path in paths)
+    assert len(serial) == len(pooled)
+    differ = [(a, b) for a, b in zip(serial, pooled) if a != b]
+    assert differ == [tuple(f'    "out": "{path}",' for path in paths),
+                      ('    "workers": 1', '    "workers": 2')]
 
 
 def test_oversized_run_is_refused_before_it_draws(monkeypatch, capfd):

@@ -94,6 +94,11 @@ def test_config_validation_errors():
         ExperimentConfig(kind="row-norms", n=8, m=9)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="row-norms", n=8, m=2, coupling="other")
+    # A compare trial measures both couplings, so it takes only the default.
+    message = ("kind 'coupling-compare' measures every coupling, so coupling must be "
+               "'plain-gs', got 'randomized'")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(kind="coupling-compare", n=8, m=2, coupling="randomized")
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="row-norms", n=8, alpha=0.01)  # floor(0.08) = 0
     with pytest.raises(ConfigError):
@@ -306,7 +311,6 @@ def test_footprint_counts_y_u_and_r_on_either_path(monkeypatch, m):
         ("epsilon", "plain-gs", 2),
         ("epsilon", "randomized", 4),
         ("coupling-compare", "plain-gs", 4),
-        ("coupling-compare", "randomized", 4),
         ("row-norms", "randomized", 2),
         ("gh-split", "randomized", 2),
     ],
