@@ -19,6 +19,7 @@ draws, and so does ``couple`` for a square that cannot.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -178,14 +179,9 @@ def _experiment(ns: argparse.Namespace, n: int, **output) -> ExperimentConfig:
 
 
 def _note_budget(config: ExperimentConfig) -> None:
-    """Say on stderr when the cores hold fewer processes than --workers asks for.
-
-    A kind without trials (the bound battery) runs in this process
-    whatever --workers asks, so it gets no note.
-    """
-    asked = min(config.workers, config.trials)
+    """Say on stderr when the cores hold fewer processes than --workers asks for."""
     budget = pool_budget(config.workers, config.trials)
-    if KINDS[config.kind].measure is None or budget.processes == asked:
+    if budget.processes == min(config.workers, config.trials):
         return
     note = (f"hgc: --workers {config.workers} runs as {budget.processes} "
             f"process{'es' if budget.processes > 1 else ''}: ")
@@ -200,8 +196,29 @@ def _note_budget(config: ExperimentConfig) -> None:
     print(note, file=sys.stderr)
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would, creating and truncating nothing.
+
+    An existing file is opened for writing without truncation; a new
+    one needs a directory that exists and can be written to.
+    """
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
+
+
 def _run_and_report(config: ExperimentConfig) -> Report:
-    """Run a config, print its summary line, and write it to ``config.out`` if set."""
+    """Run a config, print its summary line, and write it to ``config.out`` if set.
+
+    An unwritable ``config.out`` is refused before the first draw.
+    """
+    if config.out:
+        _check_writable(config.out)
     _note_budget(config)
     report = run(config)
     print(_summary(report))
@@ -260,6 +277,8 @@ def _cmd_sweep(ns) -> int:
             configs.append(_experiment(ns, n))
         except ConfigError as exc:
             raise ConfigError(f"n={n}: {exc}") from exc
+    if ns.out:
+        _check_writable(ns.out)
     _note_budget(configs[0])
     table = sweep(configs)
     ok = sum(1 for cell in table.cells if cell["error"] is None)

@@ -23,25 +23,26 @@ itself takes precedence.
 Kinds
 -----
 ``KINDS`` maps each kind's name to its :class:`Kind`: its subcommand,
-the function that measures one trial, its default trial count and the
-columns it draws.
+the function that measures one trial, its default trial count, the
+columns it draws and the couplings its config takes.
 
 row-norms        truncated row norms of Y - sqrt(n) U vs sqrt(phi(alpha) m)
 gh-split         norms of the projection/residual split F = G + H
 epsilon          the supremum statistic eps_n(m) vs its envelope
 coupling-compare paired eps for the plain and randomized couplings on
                  the same (Y, U); two rows per trial, each naming its
-                 coupling in the ``coupling`` column; the config's
-                 coupling is the default
+                 coupling in the ``coupling`` column; the config
+                 takes only the default coupling
 borel            pools sqrt(n) u_11 across trials; each row carries the
                  trial's value in the ``mean_F`` column and the pooled
-                 Kolmogorov-Smirnov distance in ``ks``
+                 Kolmogorov-Smirnov distance in ``ks``; the config
+                 takes only the default coupling
 bounds-check     fixed battery of tail-bound dominance checks (see
                  ``_bounds_battery`` for the row order); each row
                  carries its own n and m, the empirical frequency in
                  ``sup_F``, the analytic bound in ``predicted``, and
                  their ratio in ``ratio_sup``; the aggregate's ``checks``
-                 name each bound; ``trials`` is ignored
+                 name each bound; the config takes no trial inputs
 
 Every matrix kind samples and couples only the n x m block of Y, the
 columns its statistics read.  Borel draws one column y_1 whatever m is,
@@ -129,12 +130,10 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; expected one of {tuple(KINDS)}")
-        if self.coupling not in COUPLINGS:
-            raise ConfigError(f"unknown coupling {self.coupling!r}")
-        # A kind that rotates under every coupling measures both on each trial.
-        if KINDS[self.kind].rotates == COUPLINGS and self.coupling != PLAIN_GS:
-            raise ConfigError(f"kind {self.kind!r} measures every coupling, so coupling must be "
-                              f"{PLAIN_GS!r}, got {self.coupling!r}")
+        spec = KINDS[self.kind]
+        if self.coupling not in spec.couplings:
+            raise ConfigError(f"kind {self.kind!r} takes coupling "
+                              f"{' or '.join(map(repr, spec.couplings))}, got {self.coupling!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.n < 1:
@@ -146,10 +145,16 @@ class ExperimentConfig:
         Seed(self.seed)
         given = sum(v is not None for v in (self.m, self.alpha, self.beta))
         # A kind that draws a fixed column count needs no size; m defaults to 1.
-        if given > 1 or given == 0 and KINDS[self.kind].columns is None:
+        if given > 1 or given == 0 and spec.columns is None:
             raise ConfigError("give exactly one of m, alpha, beta")
         if given == 0:
             object.__setattr__(self, "m", 1)
+        # A kind without trials (the bound battery) takes none of their inputs.
+        if spec.measure is None:
+            for name, v in zip(("alpha", "beta", "m", "trials", "workers"), (None, None, 1, 1, 1)):
+                if getattr(self, name) != v:
+                    raise ConfigError(f"kind {self.kind!r} runs no trials, so {name} must be {v}, "
+                                      f"got {getattr(self, name)!r}")
         self.resolved_m()
 
     def resolved_m(self) -> int:
@@ -478,16 +483,22 @@ class Kind:
     trial t's draw ``y`` into the trial's CSV rows; ``trials`` is the
     default trial count.  A kind with ``columns`` set draws that many
     columns of Y whatever m is, and needs no truncation size (m
-    defaults to 1).  ``rotates`` names the couplings under which a
-    trial also rotates its pair by V_m; a kind that rotates under every
-    coupling measures them all on each trial, so its config takes only
-    the default coupling.  A kind without ``measure`` runs no trials.
+    defaults to 1).  ``couplings`` are the values its config's
+    ``coupling`` may take: a kind that measures every coupling on each
+    trial (compare), or only the plain one (borel's u_11; the battery,
+    which couples nothing), takes only the default, so no row names a
+    coupling it did not measure.  ``rotates`` names the couplings under
+    which a trial also rotates its pair by V_m; only the memory guard
+    reads it.  A kind without ``measure`` runs no trials, so its config
+    takes none of their inputs: no alpha or beta, and m, trials and
+    workers of 1.
     """
 
     command: str | None
     measure: Callable | None
     trials: int = 5
     columns: int | None = None
+    couplings: tuple[str, ...] = COUPLINGS
     rotates: tuple[str, ...] = ()
 
 
@@ -495,9 +506,9 @@ KINDS = {
     "row-norms": Kind("rownorms", _measure_row_norms),
     "gh-split": Kind("gh", _measure_gh_split),
     "epsilon": Kind("epsilon", _measure_epsilon, rotates=(RANDOMIZED,)),
-    "coupling-compare": Kind("compare", _measure_compare, rotates=COUPLINGS),
-    "borel": Kind("borel", _measure_borel, trials=200, columns=1),
-    "bounds-check": Kind(None, None, columns=1),
+    "coupling-compare": Kind("compare", _measure_compare, couplings=(PLAIN_GS,), rotates=COUPLINGS),
+    "borel": Kind("borel", _measure_borel, trials=200, columns=1, couplings=(PLAIN_GS,)),
+    "bounds-check": Kind(None, None, trials=1, columns=1, couplings=(PLAIN_GS,)),
 }
 
 
@@ -684,14 +695,7 @@ def render_json(report) -> str:
     if isinstance(report, SweepTable):
         doc = {
             "rows": _rows_of(report),
-            "cells": [
-                {
-                    "config": asdict(cell["config"]),
-                    "aggregate": cell["aggregate"],
-                    "error": cell["error"],
-                }
-                for cell in report.cells
-            ],
+            "cells": [{**cell, "config": asdict(cell["config"])} for cell in report.cells],
         }
     else:
         doc = {

@@ -1,14 +1,18 @@
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import hgc.cli as cli
 import hgc.coupling as coupling
@@ -124,20 +128,60 @@ def test_bounds_check_passes_when_every_bound_dominates():
         (["sweep", "--n", "8,x", "--alpha", "1"],
          "bad --n list '8,x': invalid literal for int() with base 10: 'x'"),
         (["compare", "--n", "64", "--beta", "1", "--coupling", "randomized"],
-         "kind 'coupling-compare' measures every coupling, so coupling must be 'plain-gs', "
-         "got 'randomized'"),
+         "kind 'coupling-compare' takes coupling 'plain-gs', got 'randomized'"),
         (["sweep", "--kind", "coupling-compare", "--n", "64,128", "--beta", "1",
           "--coupling", "randomized"],
-         "n=64: kind 'coupling-compare' measures every coupling, so coupling must be "
-         "'plain-gs', got 'randomized'"),
+         "n=64: kind 'coupling-compare' takes coupling 'plain-gs', got 'randomized'"),
+        (["borel", "--n", "64", "--coupling", "randomized"],
+         "kind 'borel' takes coupling 'plain-gs', got 'randomized'"),
+        (["sweep", "--kind", "borel", "--n", "16,32", "--coupling", "randomized"],
+         "n=16: kind 'borel' takes coupling 'plain-gs', got 'randomized'"),
     ],
     ids=["bounds-slack-1", "bounds-slack-2", "bounds-tiny-t", "bounds-k-without-rho",
-         "sweep-empty-n", "sweep-bad-n", "compare-randomized", "sweep-compare-randomized"],
+         "sweep-empty-n", "sweep-bad-n", "compare-randomized", "sweep-compare-randomized",
+         "borel-randomized", "sweep-borel-randomized"],
 )
-def test_bad_argument_exits_1(argv, message):
+def test_bad_argument_exits_1(monkeypatch, argv, message):
+    monkeypatch.setattr(harness, "sample_gaussian", _no_draw)
     code, stdout, err = invoke(argv)
     assert (code, stdout) == (1, "")
     assert err == f"error: {message}\n"
+
+
+def _no_draw(*args):
+    raise AssertionError("a refused run drew its sample")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "bounds-check", "n": 8, "m": 3, "coupling": "randomized", "trials": 7,
+          "workers": 9},
+         "kind 'bounds-check' takes coupling 'plain-gs', got 'randomized'"),
+        ({"kind": "bounds-check", "n": 1, "trials": 4},
+         "kind 'bounds-check' runs no trials, so trials must be 1, got 4"),
+    ],
+    ids=["every-trial-input", "trials"],
+)
+def test_bounds_check_config_with_trial_inputs_exits_1(monkeypatch, tmp_path, doc, message):
+    def no_battery(config):
+        raise AssertionError("a refused battery ran")
+
+    monkeypatch.setattr(harness, "_bounds_battery", no_battery)
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps(doc))
+    assert invoke(["--config", str(cfg)]) == (1, "", f"error: {message}\n")
+
+
+def test_bounds_check_report_runs_again_as_a_config(tmp_path):
+    out = tmp_path / "b.json"
+    assert invoke(["bounds", "--check", "--seed", "7", "--format", "json",
+                   "--out", str(out)])[0] == 0
+    cfg = tmp_path / "again.json"
+    cfg.write_text(json.dumps(json.loads(out.read_text())["config"]))
+    code, stdout, err = invoke(["--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert stdout.startswith("bounds-check: n=1 trials=9 seed=7 | 9 tail bounds")
 
 
 def test_bounds_without_args_exit_1():
@@ -379,6 +423,52 @@ def test_io_error_exit_3(tmp_path):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gh", "--n", "64", "--alpha", "1", "--trials", "2"],
+        ["sweep", "--n", "16,32", "--alpha", "1", "--trials", "2"],
+        ["bounds", "--check"],
+        ["--config", {"kind": "epsilon", "n": 64, "beta": 1.0}],
+    ],
+    ids=["gh", "sweep", "bounds-check", "config"],
+)
+def test_unwritable_out_exits_3_before_the_first_draw(monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(harness, "sample_gaussian", _no_draw)
+    monkeypatch.setattr(harness, "_bounds_battery", _no_draw)
+    out = tmp_path / "missing" / "x.csv"
+    if argv[0] == "--config":
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**argv[1], "out": str(out)}))
+        argv = ["--config", str(cfg)]
+    else:
+        argv = [*argv, "--out", str(out)]
+    code, stdout, err = invoke(argv)
+    assert (code, stdout) == (3, "")
+    assert err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_that_is_a_directory_exits_3_before_the_first_draw(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "sample_gaussian", _no_draw)
+    code, stdout, err = invoke(["rownorms", "--n", "16", "--m", "2", "--out", str(tmp_path)])
+    assert (code, stdout) == (3, "")
+    assert err == f"i/o error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_checking_out_creates_and_truncates_nothing(tmp_path):
+    # A run refused after the check leaves an existing file as it was and
+    # makes no new one.
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("keep\n")
+    for out in (kept, new):
+        code, _, err = invoke(["rownorms", "--n", "1000000", "--alpha", "1", "--workers", "1",
+                               "--out", str(out)])
+        assert code == 1 and err.startswith("error: n=1000000, m=1000000 ")
+    assert kept.read_text() == "keep\n"
+    assert not new.exists()
+
+
 def _two_checks(config):
     # One bound dominated, one violated.
     checks = (("held", 0.05), ("broken", 0.2))
@@ -504,15 +594,15 @@ def test_a_blas_without_a_thread_count_runs_serially(monkeypatch, tmp_path):
 
 
 def test_bounds_check_config_notes_no_pool(monkeypatch, tmp_path):
-    # The battery never forks, so a capped --workers has nothing to say.
+    # The battery never forks, so its config takes no --workers or trials
+    # and is refused with the error alone, before any note on the pool.
     monkeypatch.setattr(harness, "blas_threads", lambda: 2)
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     cfg = tmp_path / "b.json"
     cfg.write_text('{"kind": "bounds-check", "n": 1, "workers": 2, "trials": 4}')
     code, stdout, err = invoke(["--config", str(cfg)])
-    assert code == 0
-    assert stdout.startswith("bounds-check: n=1 ")
-    assert err == ""
+    assert (code, stdout) == (1, "")
+    assert err == "error: kind 'bounds-check' runs no trials, so trials must be 1, got 4\n"
 
 
 def test_workers_beyond_the_cores_note_the_core_cap(monkeypatch, two_pool_processes):
@@ -719,3 +809,132 @@ def test_interrupt_exits_130_with_one_line(workers):
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
+
+
+# --- the exit-code contract as a property ----------------------------------------
+#
+# argv is drawn from a grammar of every subcommand but selftest, with every
+# flag.  A value is a small valid one or an edge case of its type.  A size
+# is at most 64 or one that the config or the memory guard refuses before
+# it draws.  A run would take a large --trials or --workers as valid and
+# loop for ever or fork a process per core, so those draw no large value,
+# and every example is quick and forks at most two processes.  "{tmp}" in
+# an argument stands for the example's own temporary directory, and a dict
+# for a --config file holding it as JSON.
+_INT_EDGES = ("0", "-1", str(2**64), str(10**400), "nan", "1.5", "abc", "")
+_COUNT_EDGES = ("0", "-1", "nan", "abc", "")
+_FLOAT_EDGES = ("nan", "inf", "-inf", "0", "-1", str(2**64), str(10**400), "1e308", "1e-320",
+                "abc")
+
+
+def _values(valid, edges):
+    # One value in four is an edge case, so most examples reach a run.
+    valid = valid.map(str)
+    return st.one_of(valid, valid, valid, st.sampled_from(edges))
+
+
+_SMALL_N = _values(st.integers(1, 64), _INT_EDGES)
+_FRACTION = _values(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0), _FLOAT_EDGES)
+_POSITIVE = _values(st.floats(0.1, 4.0), _FLOAT_EDGES)
+_FLAGS = {
+    "--n": _SMALL_N,
+    "--m": _SMALL_N,
+    "--alpha": _FRACTION,
+    "--beta": _POSITIVE,
+    "--trials": _values(st.integers(1, 4), _COUNT_EDGES),
+    "--workers": _values(st.integers(1, 2), _COUNT_EDGES),
+    "--seed": _values(st.integers(0, 2**64 - 1), _INT_EDGES),
+    "--coupling": st.sampled_from([*harness.COUPLINGS] * 2 + ["other"]),
+    "--format": st.sampled_from([*harness.FORMATS] * 2 + ["xml"]),
+    "--out": st.sampled_from(["{tmp}/out"] * 4 + ["{tmp}/missing/x.csv", "{tmp}"]),
+    "--t": _POSITIVE,
+    "--eps": _FRACTION,
+    "--k": _SMALL_N,
+    "--rho": _FRACTION,
+    "--slack": _FRACTION,
+}
+_SIZES = ("--m", "--alpha", "--beta")
+_EXPERIMENT = ("--trials", "--seed", "--coupling", "--out", "--format", "--workers")
+_COMMANDS = {
+    "couple": ("--n", "--seed"),
+    **{harness.KINDS[kind].command: ("--n", *_EXPERIMENT)
+       for kind in harness.KINDS if harness.KINDS[kind].command},
+    "sweep": ("--kind", "--n", *_EXPERIMENT),
+    "bounds": ("--t", "--n", "--eps", "--k", "--rho", "--beta", "--m", "--slack", "--check",
+               "--seed", "--out", "--format"),
+}
+_CONFIG_DOC = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from([*harness.KINDS, "nope"]),
+    "n": st.integers(1, 64) | st.sampled_from([0, -1, 2**64, 10**400, 1.5, math.nan, "8", True]),
+    "m": st.integers(1, 64) | st.sampled_from([0, 2**64, None, 2.5]),
+    "alpha": st.floats(0.01, 1.0) | st.sampled_from([0.0, math.inf, math.nan, None, 1]),
+    "beta": st.floats(0.1, 4.0) | st.sampled_from([1e308, 1e-320, -1.0, None]),
+    "trials": st.integers(1, 4) | st.sampled_from([0, -1, 2.0, None, "3"]),
+    "seed": st.integers(-1, 2**64),
+    "coupling": st.sampled_from([*harness.COUPLINGS, "other", None]),
+    "out": st.sampled_from(["{tmp}/out", "{tmp}/missing/x.csv", "{tmp}", None, 5]),
+    "format": st.sampled_from([*harness.FORMATS, "xml"]),
+    "workers": st.integers(1, 2) | st.sampled_from([0, -1, True]),
+    "extra": st.just(1),
+})
+
+
+@st.composite
+def _argv(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return ["--config", draw(_CONFIG_DOC | st.just("{tmp}/missing.json"))]
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv, flags = [command], list(_COMMANDS[command])
+    # --n is given nine times in ten; an experiment is given a size flag,
+    # most often exactly one.
+    required = ["--n"] if "--n" in flags and draw(st.integers(0, 9)) else []
+    if "--trials" in flags:
+        count = draw(st.sampled_from([0, 1, 1, 1, 2]))
+        required += draw(st.lists(st.sampled_from(_SIZES), unique=True, min_size=count,
+                                  max_size=count))
+    optional = [flag for flag in flags if flag not in required]
+    for flag in required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=4)):
+        if flag == "--check":
+            argv.append(flag)
+        elif flag == "--kind":
+            argv += [flag, draw(st.sampled_from([*harness.KINDS, "nope"]))]
+        elif command == "sweep" and flag == "--n":
+            argv += [flag, ",".join(draw(st.lists(_SMALL_N, min_size=1, max_size=3)))]
+        else:
+            argv += [flag, draw(_FLAGS[flag])]
+    return argv
+
+
+_ERROR_LINE = re.compile(r"^(hgc( [a-z]+)?: )?error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["borel", "--n", "64", "--coupling", "randomized"])
+@example(["sweep", "--kind", "borel", "--n", "16,32", "--coupling", "randomized"])
+@example(["compare", "--n", "64", "--beta", "1", "--coupling", "randomized"])
+@example(["--config", {"kind": "bounds-check", "n": 8, "m": 3, "coupling": "randomized",
+                       "trials": 7, "workers": 9}])
+@example(["--config", {"kind": "bounds-check", "n": 1, "trials": 4}])
+@example(["--config", {"kind": "bounds-check", "n": 1, "alpha": 0.5}])
+@example(["--config", {"kind": "bounds-check", "n": 1, "workers": 2}])
+@example(["gh", "--n", "64", "--alpha", "1", "--trials", "2", "--out", "{tmp}/missing/x.csv"])
+@example(["sweep", "--n", "16,32", "--alpha", "1", "--out", "{tmp}/missing/x.csv"])
+@example(["bounds", "--check", "--out", "{tmp}/missing/x.csv"])
+def test_every_argv_exits_0_to_3_and_an_exit_1_prints_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                path = Path(tmp) / "config.json"
+                path.write_text(json.dumps(
+                    {k: v.replace("{tmp}", tmp) if isinstance(v, str) else v
+                     for k, v in arg.items()}))
+                arg = str(path)
+            args.append(arg.replace("{tmp}", tmp))
+        code, _, err = invoke(args)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert sum(bool(_ERROR_LINE.match(line)) for line in err.splitlines()) == 1, err

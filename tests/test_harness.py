@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import hgc.coupling as coupling
 import hgc.harness as harness
@@ -92,11 +93,11 @@ def test_config_validation_errors():
         ExperimentConfig(kind="row-norms", n=8, m=2, trials=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="row-norms", n=8, m=9)
-    with pytest.raises(ConfigError):
+    message = "kind 'row-norms' takes coupling 'plain-gs' or 'randomized', got 'other'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(kind="row-norms", n=8, m=2, coupling="other")
     # A compare trial measures both couplings, so it takes only the default.
-    message = ("kind 'coupling-compare' measures every coupling, so coupling must be "
-               "'plain-gs', got 'randomized'")
+    message = "kind 'coupling-compare' takes coupling 'plain-gs', got 'randomized'"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(kind="coupling-compare", n=8, m=2, coupling="randomized")
     with pytest.raises(ConfigError):
@@ -125,6 +126,52 @@ def test_config_field_of_wrong_type_raises_config_error(field, value):
     # The library checks types where --config does, before any value reaches numpy.
     with pytest.raises(ConfigError, match=f"^config key {field!r} must be "):
         ExperimentConfig(**{"kind": "row-norms", "n": 8, "m": 2, field: value})
+
+
+@pytest.mark.parametrize("kind", sorted(harness.KINDS))
+@pytest.mark.parametrize("coupling", harness.COUPLINGS)
+def test_each_kind_takes_the_couplings_its_row_names(kind, coupling):
+    config = dict(kind=kind, n=8, coupling=coupling)
+    if harness.KINDS[kind].columns is None:
+        config["m"] = 2
+    if coupling in harness.KINDS[kind].couplings:
+        assert ExperimentConfig(**config).coupling == coupling
+    else:
+        message = f"kind {kind!r} takes coupling 'plain-gs', got {coupling!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**config)
+
+
+def test_kinds_that_read_only_the_plain_pair_take_only_the_default_coupling():
+    # compare measures both couplings on each trial; borel's u_11 and
+    # the battery, which couples nothing, read the plain pair alone.
+    taking_one = {kind for kind, spec in harness.KINDS.items() if spec.couplings == ("plain-gs",)}
+    assert taking_one == {"coupling-compare", "borel", "bounds-check"}
+    assert all(set(spec.couplings) <= set(harness.COUPLINGS) for spec in harness.KINDS.values())
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (dict(m=3), "m must be 1, got 3"),
+        (dict(alpha=1.0), "alpha must be None, got 1.0"),
+        (dict(beta=0.5), "beta must be None, got 0.5"),
+        (dict(trials=4), "trials must be 1, got 4"),
+        (dict(workers=2), "workers must be 1, got 2"),
+    ],
+    ids=["m", "alpha", "beta", "trials", "workers"],
+)
+def test_bounds_check_refuses_every_trial_input(given, message):
+    with pytest.raises(ConfigError, match=f"^kind 'bounds-check' runs no trials, so "
+                                          f"{re.escape(message)}$"):
+        ExperimentConfig(kind="bounds-check", n=1, **given)
+
+
+def test_bounds_check_takes_its_defaults_written_out():
+    # The config block of its JSON report names m, trials and workers of 1.
+    spelled = ExperimentConfig(kind="bounds-check", n=1, m=1, trials=1, workers=1)
+    assert spelled == ExperimentConfig(kind="bounds-check", n=1)
+    assert config_from_json('{"kind": "bounds-check", "n": 1}').trials == 1
 
 
 def test_sizeless_kinds_default_m():
@@ -383,7 +430,7 @@ def test_compare_pairs_from_same_matrices():
     [
         ("row-norms", "randomized", dict(alpha=0.25), 0),
         ("gh-split", "randomized", dict(m=5), 0),
-        ("borel", "randomized", {}, 0),
+        ("borel", "plain-gs", {}, 0),
         ("epsilon", "plain-gs", dict(beta=1.0), 0),
         ("epsilon", "randomized", dict(beta=1.0), 3),
         ("coupling-compare", "plain-gs", dict(beta=1.0), 3),
@@ -800,6 +847,56 @@ def test_config_from_json_roundtrip():
     assert cfg.kind == "epsilon"
     assert cfg.resolved_m() == 46
     assert cfg.workers == 2
+
+
+# Any JSON value, and beside it for each key the values a config may take.
+# Strings come from a small alphabet, which needs no Unicode tables.
+_TEXT = st.text("ab-/.\u00e9", max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_PLAUSIBLE = {
+    "kind": st.sampled_from(sorted(harness.KINDS)),
+    "n": st.integers(1, 64) | st.integers(-1, 10**400),
+    "m": st.integers(1, 64) | st.integers(-1, 10**400) | st.none(),
+    "alpha": st.floats(0.0, 1.0) | st.floats() | st.none(),
+    "beta": st.floats(0.0, 4.0) | st.floats() | st.none(),
+    "trials": st.integers(-1, 10**6),
+    "seed": st.integers(-1, 2**65),
+    "coupling": st.sampled_from(harness.COUPLINGS),
+    "out": _TEXT | st.none(),
+    "format": st.sampled_from(sorted(harness.FORMATS)),
+    "workers": st.integers(-1, 8),
+}
+
+
+def _usually(values):
+    # Seven times in eight a value of the key's type, else any JSON value.
+    return st.integers(0, 7).flatmap(lambda pick: _JSON if pick == 7 else values)
+
+
+@settings(max_examples=300)
+@given(st.fixed_dictionaries(
+    {key: _usually(_PLAUSIBLE[key]) for key in ("kind", "n")},
+    optional={key: _usually(values) for key, values in _PLAUSIBLE.items()
+              if key not in ("kind", "n")}))
+@example({"kind": "bounds-check", "n": 8, "m": 3, "coupling": "randomized", "trials": 7,
+          "workers": 9})
+@example({"kind": "bounds-check", "n": 1, "trials": 4})
+@example({"kind": "bounds-check", "n": 1, "m": 1, "trials": 1, "workers": 1})
+@example({"kind": "borel", "n": 64, "coupling": "randomized"})
+@example({"kind": "coupling-compare", "n": 64, "beta": 1.0, "coupling": "randomized"})
+def test_json_config_is_refused_or_runs_again_from_its_report(doc):
+    try:
+        config = config_from_json(json.dumps(doc))
+    except ConfigError:
+        event("refused")
+        return
+    event("accepted")
+    report = harness.Report(config=config, results=[], aggregate={})
+    assert config_from_json(json.loads(render_json(report))["config"]) == config
 
 
 def test_config_from_json_defaults_and_errors():
