@@ -6,14 +6,16 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical failure
 memory, 130 interrupted (SIGINT).  ``HGC_WORKERS`` provides the default
 for ``--workers``.
 
-``--workers k`` asks for at most k trial processes; a run forks only as
-many as the cores hold beside the threads numpy's OpenBLAS reports
-running (:func:`hgc.harness.pool_budget`), and none where it reports
-none.  When that is fewer than ``min(k, trials)``, one ``hgc:`` line on
-stderr says so and how to get parallel processes; stdout and the
-output files are the same either way.
-A run whose blocks cannot fit in physical memory exits 1 before it
-draws, and so does ``couple`` for a square that cannot.
+``--workers k`` asks for at most k trial processes.  Before a run or a
+sweep draws, one preflight checks ``--out`` and asks
+:func:`hgc.harness.plan` how many processes the run forks: only as many
+as the cores hold beside the threads numpy's OpenBLAS reports running,
+and none where it reports none.  When that is fewer than
+``min(k, trials)``, one ``hgc:`` line on stderr says so and how to get
+parallel processes; stdout and the output files are the same either
+way.  ``plan`` also refuses a run whose blocks cannot fit in physical
+memory, before the note, so a refused run exits 1 and prints only its
+``error:`` line; ``couple`` checks its own square.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .harness import (
     _check_footprint,
     config_from_json,
     emit,
-    pool_budget,
+    plan,
     run,
     sweep,
 )
@@ -178,24 +180,6 @@ def _experiment(ns: argparse.Namespace, n: int, **output) -> ExperimentConfig:
                             workers=ns.workers, **output)
 
 
-def _note_budget(config: ExperimentConfig) -> None:
-    """Say on stderr when the cores hold fewer processes than --workers asks for."""
-    budget = pool_budget(config.workers, config.trials)
-    if budget.processes == min(config.workers, config.trials):
-        return
-    note = (f"hgc: --workers {config.workers} runs as {budget.processes} "
-            f"process{'es' if budget.processes > 1 else ''}: ")
-    threads = budget.blas_threads
-    if threads is None:
-        note += "numpy's BLAS reports no thread count, so every core counts as taken"
-    else:
-        note += (f"OpenBLAS uses {threads} thread{'s' if threads > 1 else ''} "
-                 f"on {budget.cores} core{'s' if budget.cores > 1 else ''}")
-        if threads > 1:
-            note += "; set OPENBLAS_NUM_THREADS=1 to run trials in parallel"
-    print(note, file=sys.stderr)
-
-
 def _check_writable(path: str) -> None:
     """Raise the OSError that writing ``path`` would, creating and truncating nothing.
 
@@ -212,14 +196,22 @@ def _check_writable(path: str) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
 
 
-def _run_and_report(config: ExperimentConfig) -> Report:
-    """Run a config, print its summary line, and write it to ``config.out`` if set.
+def _preflight(configs: list[ExperimentConfig], out: str | None) -> None:
+    """Refuse an unwritable ``out`` or a run that cannot fit, then note a capped --workers.
 
-    An unwritable ``config.out`` is refused before the first draw.
+    Both refusals come before the first draw and before the note, so a
+    refused run prints only its error.
     """
-    if config.out:
-        _check_writable(config.out)
-    _note_budget(config)
+    if out:
+        _check_writable(out)
+    note = plan(configs)[1]
+    if note:
+        print(note, file=sys.stderr)
+
+
+def _run_and_report(config: ExperimentConfig) -> Report:
+    """Run a config, print its summary line, and write it to ``config.out`` if set."""
+    _preflight([config], config.out)
     report = run(config)
     print(_summary(report))
     if config.out:
@@ -277,9 +269,7 @@ def _cmd_sweep(ns) -> int:
             configs.append(_experiment(ns, n))
         except ConfigError as exc:
             raise ConfigError(f"n={n}: {exc}") from exc
-    if ns.out:
-        _check_writable(ns.out)
-    _note_budget(configs[0])
+    _preflight(configs, ns.out)
     table = sweep(configs)
     ok = sum(1 for cell in table.cells if cell["error"] is None)
     print(f"sweep: {ok}/{len(table.cells)} cells ok over n={dims} (kind={ns.kind}).")

@@ -333,16 +333,16 @@ def _determinism(seed, run, configs, workers):
     Every run is fresh, made through :func:`harness.run` and never
     through ``run``: a cached report compared with itself proves nothing.
     The detail names the processes each pooled variant ran on, which
-    :func:`harness.pool_budget` may make fewer than ``workers``.
+    :func:`harness.plan` may make fewer than ``workers``.
     """
     ok = True
     processes = set()
     for spec in configs:
         config = ExperimentConfig(seed=seed, **spec)
-        variants = (config, config, replace(config, workers=workers),
-                    replace(config, out="elsewhere.csv"))
+        pooled = replace(config, workers=workers)
+        variants = (config, config, pooled, replace(config, out="elsewhere.csv"))
         ok &= len({render_csv(harness.run(c)) for c in variants}) == 1
-        processes.add(harness.pool_budget(workers, config.trials).processes)
+        processes.add(harness.plan([pooled])[0])
     runs = ", ".join(f"{spec['kind']} n={spec['n']}" for spec in configs)
     counts = "/".join(str(p) for p in sorted(processes))
     noun = "process" if processes == {1} else "processes"

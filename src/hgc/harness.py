@@ -8,7 +8,7 @@ substreams -- trial t samples from ``(seed, [t])`` and the block
 rotation that a randomized eps reads from ``(seed, [t, 1])`` -- through
 one ordered map, in this process or in a pool of at most ``workers``
 processes that the cores can hold beside the threads numpy's OpenBLAS
-reports (see :func:`pool_budget`), so serial and parallel runs produce
+reports (see :func:`plan`), so serial and parallel runs produce
 identical results, and
 :func:`emit` writes a report as CSV, JSON, or SVG with byte-identical
 output for identical configs.  Every trial draws its Gaussian Y
@@ -43,6 +43,7 @@ bounds-check     fixed battery of tail-bound dominance checks (see
                  ``sup_F``, the analytic bound in ``predicted``, and
                  their ratio in ``ratio_sup``; the aggregate's ``checks``
                  name each bound; the config takes no trial inputs
+                 and n = 1
 
 Every matrix kind samples and couples only the n x m block of Y, the
 columns its statistics read.  Borel draws one column y_1 whatever m is,
@@ -149,9 +150,11 @@ class ExperimentConfig:
             raise ConfigError("give exactly one of m, alpha, beta")
         if given == 0:
             object.__setattr__(self, "m", 1)
-        # A kind without trials (the bound battery) takes none of their inputs.
+        # A kind without trials (the bound battery) takes none of their
+        # inputs, and no n: it draws at its own sizes.
         if spec.measure is None:
-            for name, v in zip(("alpha", "beta", "m", "trials", "workers"), (None, None, 1, 1, 1)):
+            for name, v in zip(("n", "alpha", "beta", "m", "trials", "workers"),
+                               (1, None, None, 1, 1, 1)):
                 if getattr(self, name) != v:
                     raise ConfigError(f"kind {self.kind!r} runs no trials, so {name} must be {v}, "
                                       f"got {getattr(self, name)!r}")
@@ -212,12 +215,12 @@ class SweepTable:
 def run(config: ExperimentConfig) -> Report:
     """Execute all trials of a config and aggregate them.
 
-    Trials run in one ordered map over the trial indices on
-    ``pool_budget(config.workers, config.trials).processes`` processes:
-    the builtin ``map`` when that is 1, otherwise a pool of that many
-    processes, each handed one contiguous chunk of trials.  Every
-    process runs OpenBLAS's own thread count, so results are folded in
-    trial order and the output does not depend on the process count.
+    Trials run in one ordered map over the trial indices on the
+    processes :func:`plan` gives: the builtin ``map`` when that is 1,
+    otherwise a pool of that many processes, each handed one contiguous
+    chunk of trials.  Every process runs OpenBLAS's own thread count, so
+    results are folded in trial order and the output does not depend on
+    the process count.
     A run whose blocks cannot fit in physical memory is refused with a
     :class:`ConfigError` before the first draw.  A degenerate trial is
     reported as a :class:`NumericalError` naming that trial; a worker
@@ -226,7 +229,7 @@ def run(config: ExperimentConfig) -> Report:
     """
     if KINDS[config.kind].measure is None:
         return _bounds_battery(config)
-    processes = _check_fits(config)
+    processes, _ = plan([config])
     results = []
     with _trial_map(processes, config.trials) as trial_map:
         try:
@@ -249,8 +252,7 @@ def sweep(configs) -> SweepTable:
     configs = list(configs)
     if not configs:
         raise ConfigError("empty sweep grid")
-    for cfg in configs:
-        _check_fits(cfg)
+    plan(configs)
     cells = []
     for cfg in configs:
         try:
@@ -284,43 +286,12 @@ def emit(report, format: str, path: str) -> None:
 # trial execution
 
 
-@dataclass(frozen=True)
-class PoolBudget:
-    """How many trial processes fit beside OpenBLAS's threads on the usable cores.
-
-    ``blas_threads`` is None where numpy's BLAS does not report its count.
-    """
-
-    processes: int
-    blas_threads: int | None
-    cores: int
-
-
 def _usable_cores() -> int:
     """The cores this process may run on: its CPU affinity, else the CPU count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def pool_budget(workers: int, trials: int) -> PoolBudget:
-    """The trial processes a run of ``trials`` trials on ``workers`` workers forks.
-
-    ``min(workers, trials, max(1, cores // threads))``, where ``cores``
-    is this process's usable cores (:func:`_usable_cores`) and
-    ``threads`` the count numpy's loaded OpenBLAS runs now
-    (:func:`hgc.coupling.blas_threads`).  Where the library reports no
-    count (numpy before 2.0, another BLAS), its threads are counted as
-    one per core, so the run is serial.
-
-    Every forked process keeps that thread count, so a run uses BLAS
-    threads or processes, never more of the two than there are cores.
-    The thread count is not changed, and neither are the bits it decides.
-    """
-    cores = _usable_cores()
-    threads = blas_threads()
-    return PoolBudget(min(workers, trials, max(1, cores // (threads or cores))), threads, cores)
 
 
 def _check_footprint(n: int, m: int, processes: int, extra: int = 0) -> None:
@@ -348,17 +319,46 @@ def _check_footprint(n: int, m: int, processes: int, extra: int = 0) -> None:
         )
 
 
-def _drawn_columns(config: ExperimentConfig) -> int:
-    """The columns of Y a trial of ``config`` draws: its kind's own count, else m."""
-    return KINDS[config.kind].columns or config.resolved_m()
+def plan(configs) -> tuple[int, str | None]:
+    """The processes a run of ``configs`` forks, and the note when they are fewer than asked.
 
+    The configs share ``workers`` and ``trials`` (one run, or the cells
+    of one sweep), so they share the count: ``min(workers, trials,
+    max(1, cores // threads))``, where ``cores`` is this process's usable
+    cores (:func:`_usable_cores`) and ``threads`` the count numpy's
+    loaded OpenBLAS runs now (:func:`hgc.coupling.blas_threads`).  Where
+    the library reports no count (numpy before 2.0, another BLAS), its
+    threads are counted as one per core, so the run is serial.  Every
+    forked process keeps that thread count, so a run uses BLAS threads
+    or processes, never more of the two than there are cores; the thread
+    count is not changed, and neither are the bits it decides.
 
-def _check_fits(config: ExperimentConfig) -> int:
-    """The processes a run of ``config`` forks; refuses one that cannot fit in memory."""
-    processes = pool_budget(config.workers, config.trials).processes
-    rotates = config.coupling in KINDS[config.kind].rotates
-    _check_footprint(config.n, _drawn_columns(config), processes, extra=2 if rotates else 0)
-    return processes
+    Each config's blocks on that many processes must fit in memory
+    (:func:`_check_footprint`): the columns its kind draws, and the two
+    rotated blocks of a coupling in ``Kind.rotates``.  One that cannot is
+    refused with a :class:`ConfigError` before any note is made.  The
+    note, one ``hgc:`` line for stderr, says why the count is below
+    ``min(workers, trials)`` and how to get parallel processes; it is
+    None when the count is not capped.  ``configs`` must not be empty.
+    """
+    cores, threads = _usable_cores(), blas_threads()
+    asked = min(configs[0].workers, configs[0].trials)
+    processes = min(asked, max(1, cores // (threads or cores)))
+    for config in configs:
+        spec = KINDS[config.kind]
+        extra = 2 if config.coupling in spec.rotates else 0
+        _check_footprint(config.n, spec.columns or config.resolved_m(), processes, extra)
+    if processes == asked:
+        return processes, None
+    note = (f"hgc: --workers {configs[0].workers} runs as {processes} "
+            f"process{'es' if processes > 1 else ''}: ")
+    if threads is None:
+        return processes, note + "numpy's BLAS reports no thread count, so every core counts as taken"
+    note += (f"OpenBLAS uses {threads} thread{'s' if threads > 1 else ''} "
+             f"on {cores} core{'s' if cores > 1 else ''}")
+    if threads > 1:
+        note += "; set OPENBLAS_NUM_THREADS=1 to run trials in parallel"
+    return processes, note
 
 
 @contextmanager
@@ -371,7 +371,7 @@ def _trial_map(processes: int, trials: int):
     task: trials of one config cost the same, so each worker's share is
     known up front, and a task pays its pickle and queue round trip
     once, not once per trial.  :func:`run` takes ``processes`` from
-    :func:`pool_budget`, so a pool is forked only when the cores can
+    :func:`plan`, so a pool is forked only when the cores can
     hold its processes beside each one's OpenBLAS threads.
 
     A worker takes SIGINT's default action, so an interrupt of the
@@ -395,7 +395,7 @@ def _trial_task(config: ExperimentConfig, t: int) -> TrialResult:
     must be named where it fails.
     """
     trial_seed = Seed(config.seed, (t,))
-    y = sample_gaussian(config.n, _drawn_columns(config), trial_seed)
+    y = sample_gaussian(config.n, KINDS[config.kind].columns or config.resolved_m(), trial_seed)
     try:
         rows = KINDS[config.kind].measure(config, t, y)
     except DegeneracyError as exc:
@@ -491,7 +491,7 @@ class Kind:
     which a trial also rotates its pair by V_m; only the memory guard
     reads it.  A kind without ``measure`` runs no trials, so its config
     takes none of their inputs: no alpha or beta, and m, trials and
-    workers of 1.
+    workers of 1; it draws at its own sizes, so its n is 1 as well.
     """
 
     command: str | None
@@ -565,7 +565,7 @@ def _bounds_battery(config: ExperimentConfig) -> Report:
     aggregate = {
         "kind": config.kind,
         "n": config.n,
-        "trials": len(results),
+        "trials": config.trials,
         "seed": config.seed,
         "checks": checks,
         "all_dominated": all(check["frequency"] <= check["bound"] for check in checks),

@@ -84,6 +84,8 @@ def kolmogorov_pvalue(lam: float) -> float:
         raise DomainError(f"lam must be non-negative, got {lam}")
     if lam < 0.1:
         return 1.0  # 1 - Q(0.1) is below 1e-50
+    if lam > 20.0:
+        return 0.0  # Q(20) < 2 e^{-800} rounds to 0, and (k lam)^2 would overflow past 1e154
     # term k is below 1e-40 once k > sqrt(20 ln 10) / lam = 6.786 / lam
     last = math.floor(math.sqrt(20.0 * math.log(10.0)) / lam) + 1
     return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * lam) ** 2) for k in range(1, last + 1))
@@ -131,17 +133,22 @@ def projection_tails(
 def hoeffding_bound(widths, a: float) -> float:
     """Hoeffding bound 2 e^{-2 a^2 / sum w_i^2} for a sum of bounded terms.
 
-    ``widths`` are the interval widths w_i = b_i - a_i of the summands.
+    ``widths`` are the interval widths w_i = b_i - a_i of the summands,
+    and ``a`` is positive and finite.  It is evaluated as 2 e^{-2 r^2}
+    with r = a / hypot(w_1, ...), so neither a^2 nor the w_i^2 over- or
+    underflow: widths of 1e-200 are not zero, and a width and an a of
+    1e200 give 2 e^{-2}, not NaN.
     """
     widths = [float(w) for w in widths]
     if not widths or not all(w >= 0 for w in widths):
         raise DomainError("widths must be non-negative and non-empty")
-    total = sum(w * w for w in widths)
-    if total == 0.0:
+    norm = math.hypot(*widths)
+    if norm == 0.0:
         raise DomainError("widths must not all be zero")
-    if not a > 0:
-        raise DomainError(f"a must be positive, got {a}")
-    return 2.0 * math.exp(-2.0 * a * a / total)
+    if not 0 < a < math.inf:
+        raise DomainError(f"a must be positive and finite, got {a}")
+    ratio = a / norm
+    return 2.0 * math.exp(-2.0 * ratio * ratio)
 
 
 def _sup_entry_window(n: int, m: int, slack: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 def two_pool_processes(monkeypatch):
     """Budget room for a pool of two: one BLAS thread on two cores.
 
-    The budget asks ``harness.blas_threads`` and ``harness._usable_cores``,
+    ``harness.plan`` asks ``harness.blas_threads`` and ``harness._usable_cores``,
     so ``workers=2`` forks two processes under this fixture on any
     machine and any BLAS.
     """

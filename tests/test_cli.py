@@ -160,8 +160,10 @@ def _no_draw(*args):
          "kind 'bounds-check' takes coupling 'plain-gs', got 'randomized'"),
         ({"kind": "bounds-check", "n": 1, "trials": 4},
          "kind 'bounds-check' runs no trials, so trials must be 1, got 4"),
+        ({"kind": "bounds-check", "n": 8},
+         "kind 'bounds-check' runs no trials, so n must be 1, got 8"),
     ],
-    ids=["every-trial-input", "trials"],
+    ids=["every-trial-input", "trials", "n"],
 )
 def test_bounds_check_config_with_trial_inputs_exits_1(monkeypatch, tmp_path, doc, message):
     def no_battery(config):
@@ -181,7 +183,9 @@ def test_bounds_check_report_runs_again_as_a_config(tmp_path):
     cfg.write_text(json.dumps(json.loads(out.read_text())["config"]))
     code, stdout, err = invoke(["--config", str(cfg)])
     assert (code, err) == (0, "")
-    assert stdout.startswith("bounds-check: n=1 trials=9 seed=7 | 9 tail bounds")
+    # The summary names the config's one trial; the battery runs 9 checks.
+    assert stdout.startswith("bounds-check: n=1 trials=1 seed=7 | 9 tail bounds")
+    assert json.loads(out.read_text())["aggregate"]["trials"] == 1
 
 
 def test_bounds_without_args_exit_1():
@@ -605,6 +609,29 @@ def test_bounds_check_config_notes_no_pool(monkeypatch, tmp_path):
     assert err == "error: kind 'bounds-check' runs no trials, so trials must be 1, got 4\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rownorms", "--n", "1024", "--alpha", "1", "--workers", "2", "--trials", "2"],
+        ["sweep", "--n", "16,1024", "--alpha", "1", "--workers", "2", "--trials", "2"],
+    ],
+    ids=["run", "sweep-second-cell"],
+)
+def test_a_refused_capped_run_prints_only_its_error(monkeypatch, argv):
+    # Two OpenBLAS threads on two cores cap --workers 2 at one process,
+    # which would print a note; 1 MiB of memory holds the n = 16 cell
+    # and not the n = 1024 one.  The refusal comes first and alone.
+    monkeypatch.setattr(harness, "blas_threads", lambda: 2)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+    monkeypatch.setattr(harness, "sample_gaussian", _no_draw)
+    code, stdout, err = invoke(argv)
+    assert (code, stdout) == (1, "")
+    assert err == ("error: n=1024, m=1024 on 1 process(es) needs at least 25,165,824 bytes "
+                   "(2 n m + m^2 doubles per process), more than the 1,048,576 bytes of "
+                   "physical memory\n")
+
+
 def test_workers_beyond_the_cores_note_the_core_cap(monkeypatch, two_pool_processes):
     code, _, err = invoke(["borel", "--n", "16", "--trials", "12", "--workers", "4"])
     assert code == 0
@@ -918,6 +945,7 @@ _ERROR_LINE = re.compile(r"^(hgc( [a-z]+)?: )?error: ")
 @example(["--config", {"kind": "bounds-check", "n": 1, "trials": 4}])
 @example(["--config", {"kind": "bounds-check", "n": 1, "alpha": 0.5}])
 @example(["--config", {"kind": "bounds-check", "n": 1, "workers": 2}])
+@example(["--config", {"kind": "bounds-check", "n": 8}])
 @example(["gh", "--n", "64", "--alpha", "1", "--trials", "2", "--out", "{tmp}/missing/x.csv"])
 @example(["sweep", "--n", "16,32", "--alpha", "1", "--out", "{tmp}/missing/x.csv"])
 @example(["bounds", "--check", "--out", "{tmp}/missing/x.csv"])

@@ -131,7 +131,8 @@ def test_config_field_of_wrong_type_raises_config_error(field, value):
 @pytest.mark.parametrize("kind", sorted(harness.KINDS))
 @pytest.mark.parametrize("coupling", harness.COUPLINGS)
 def test_each_kind_takes_the_couplings_its_row_names(kind, coupling):
-    config = dict(kind=kind, n=8, coupling=coupling)
+    # The battery, which runs no trials, takes only n = 1.
+    config = dict(kind=kind, n=8 if harness.KINDS[kind].measure else 1, coupling=coupling)
     if harness.KINDS[kind].columns is None:
         config["m"] = 2
     if coupling in harness.KINDS[kind].couplings:
@@ -153,18 +154,20 @@ def test_kinds_that_read_only_the_plain_pair_take_only_the_default_coupling():
 @pytest.mark.parametrize(
     "given, message",
     [
+        (dict(n=8), "n must be 1, got 8"),
         (dict(m=3), "m must be 1, got 3"),
         (dict(alpha=1.0), "alpha must be None, got 1.0"),
         (dict(beta=0.5), "beta must be None, got 0.5"),
         (dict(trials=4), "trials must be 1, got 4"),
         (dict(workers=2), "workers must be 1, got 2"),
     ],
-    ids=["m", "alpha", "beta", "trials", "workers"],
+    ids=["n", "m", "alpha", "beta", "trials", "workers"],
 )
 def test_bounds_check_refuses_every_trial_input(given, message):
+    # The battery draws at its own sizes, so it takes no n either.
     with pytest.raises(ConfigError, match=f"^kind 'bounds-check' runs no trials, so "
                                           f"{re.escape(message)}$"):
-        ExperimentConfig(kind="bounds-check", n=1, **given)
+        ExperimentConfig(**{"kind": "bounds-check", "n": 1, **given})
 
 
 def test_bounds_check_takes_its_defaults_written_out():
@@ -252,7 +255,7 @@ def test_pool_workers_take_the_default_action_on_sigint():
 
 
 # Each case is an environment OpenBLAS loaded under on ``cores`` cores and
-# the thread count it runs there.  The budget reads that count from the
+# the thread count it runs there.  ``plan`` reads that count from the
 # library (patched here); the variables, set again now, change nothing.
 @pytest.mark.parametrize(
     "environ, cores, workers, trials, threads, processes",
@@ -277,30 +280,38 @@ def test_pool_workers_take_the_default_action_on_sigint():
     ],
 )
 def test_pool_budget(monkeypatch, environ, cores, workers, trials, threads, processes):
+    # The pool budget is the process count of a run's plan; the note
+    # comes exactly when it is below min(workers, trials).
     for name, value in environ.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(harness, "blas_threads", lambda: threads)
     monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-    assert harness.pool_budget(workers, trials) == harness.PoolBudget(processes, threads, cores)
+    config = ExperimentConfig(kind="borel", n=16, trials=trials, workers=workers)
+    planned, note = harness.plan([config])
+    assert planned == processes
+    assert (note is None) == (processes == min(workers, trials))
 
 
 def test_pool_budget_reads_the_threads_the_library_runs(monkeypatch):
     # OpenBLAS reads its thread variables when it loads, so one set now
-    # changes nothing it runs: a budget read off the environment would
+    # changes nothing it runs: a plan read off the environment would
     # fork two processes beside the library's live threads.
     live = coupling.blas_threads()
     if live is None or live < 2:
         pytest.skip("numpy's BLAS runs one thread or reports no count")
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert harness.pool_budget(2, 4) == harness.PoolBudget(max(1, 2 // live), live, 2)
+    config = ExperimentConfig(kind="borel", n=16, trials=4, workers=2)
+    assert harness.plan([config])[0] == max(1, 2 // live)
 
 
 def test_one_blas_thread_at_load_leaves_room_for_a_pool():
     src = str(Path(harness.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "from hgc.harness import pool_budget; print(*vars(pool_budget(2, 2)).values())"
+    code = ("from hgc.harness import ExperimentConfig, _usable_cores, blas_threads, plan; "
+            "print(plan([ExperimentConfig(kind='borel', n=16, trials=2, workers=2)])[0], "
+            "blas_threads(), _usable_cores())")
     processes, threads, cores = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
@@ -630,7 +641,8 @@ def test_sweep_grid_order_and_rows():
 
 
 def test_sweep_empty_grid_rejected():
-    with pytest.raises(ConfigError):
+    # Refused before ``plan``, which needs at least one config.
+    with pytest.raises(ConfigError, match="^empty sweep grid$"):
         sweep([])
 
 

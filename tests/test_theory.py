@@ -3,8 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hgc import theory
 from hgc import (
     DomainError,
     beta_interval,
@@ -145,6 +146,8 @@ def test_kolmogorov_pvalue_values():
     assert kolmogorov_pvalue(1.3581) == pytest.approx(0.05, abs=1e-3)
     assert kolmogorov_pvalue(1.6276) == pytest.approx(0.01, abs=1e-3)
     assert kolmogorov_pvalue(0.0) == 1.0
+    # (k lam)^2 overflows past lam = 1.3e154, where Q has long rounded to 0.
+    assert kolmogorov_pvalue(20.0) == kolmogorov_pvalue(1e200) == kolmogorov_pvalue(math.inf) == 0.0
     assert kolmogorov_pvalue(1.0 - 1e-12) == pytest.approx(kolmogorov_pvalue(1.0), abs=1e-11)
     for lam in (0.1, 0.15, 0.3, 0.8, 1.2, 2.5, *np.linspace(0.1, 6.0, 60)):
         series = 2 * mpmath.nsum(
@@ -203,6 +206,13 @@ def test_hoeffding_values():
         hoeffding_bound([], 1.0)
     with pytest.raises(DomainError, match="^widths must be non-negative and non-empty$"):
         hoeffding_bound([float("nan")], 1.0)
+    # The bound depends on a / ||w|| alone; a^2 and w^2 would overflow to
+    # inf / inf = NaN at 1e200, and underflow to a zero sum at 1e-200.
+    for scale in (1e-200, 1e200):
+        assert hoeffding_bound([scale], scale) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
+    assert hoeffding_bound([1e-200], 1.0) == 0.0
+    with pytest.raises(DomainError, match="^a must be positive and finite, got inf$"):
+        hoeffding_bound([math.inf], math.inf)
 
 
 # --- envelopes -------------------------------------------------------------
@@ -384,3 +394,48 @@ def test_calculators_vs_high_precision_oracle():
             ),
             rel=1e-12,
         )
+
+
+# --- every calculator on every double ---------------------------------------
+
+_ANY = st.floats()  # every double: NaN, the infinities, subnormals, -0.0
+_CALLS = {
+    theory.phi: (_ANY,),
+    theory.predicted_row_norm: (_ANY, _ANY),
+    theory.gaussian_tail_bounds: (_ANY,),
+    theory.kolmogorov_pvalue: (_ANY,),
+    theory.chi_norm_tail: (_ANY, _ANY),
+    theory.projection_tails: (_ANY, _ANY, _ANY, st.none() | _ANY),
+    theory.hoeffding_bound: (st.lists(_ANY, max_size=4), _ANY),
+    theory.epsilon_envelope: (_ANY, _ANY, _ANY),
+    theory.beta_interval: (_ANY,),
+    theory.sphere_sup_threshold: (_ANY, _ANY, _ANY),
+}
+
+
+def test_the_float_property_covers_every_calculator():
+    public = {fn for name, fn in vars(theory).items()
+              if callable(fn) and not name.startswith("_") and fn.__module__ == theory.__name__}
+    assert public == set(_CALLS)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(*(st.tuples(st.just(fn), *args) for fn, args in _CALLS.items())))
+@example((theory.hoeffding_bound, [1e200], 1e200))
+@example((theory.hoeffding_bound, [1e-200], 1.0))
+@example((theory.hoeffding_bound, [math.inf], math.inf))
+@example((theory.kolmogorov_pvalue, 1e200))
+@example((theory.projection_tails, 8.0, 8.0, 0.5, 1.0000001))
+def test_every_calculator_raises_domain_error_or_returns_finite_values(call):
+    fn, *args = call
+    try:
+        out = fn(*args)
+    except DomainError:
+        return
+    values = list(out) if isinstance(out, tuple) else [out]
+    if fn is theory.projection_tails:
+        # unit_t is None without t, and +inf where its vacuous bound
+        # passes double range, as its docstring says.
+        unit_t = values.pop()
+        assert unit_t is None or unit_t == math.inf or math.isfinite(unit_t)
+    assert all(math.isfinite(v) for v in values), (args, out)
